@@ -22,7 +22,7 @@ not ``repro.network``).
 from __future__ import annotations
 
 #: Everything that runs under the event loop and must be seeded-replayable.
-SIM_CORE = (
+SIMULATED_PACKAGES = (
     "repro.sim",
     "repro.net",
     "repro.protocols",
@@ -58,7 +58,7 @@ RULE_SCOPES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     # Wall clock: the sim core plus repro.obs (observers must timestamp
     # with sim time only).  The CLI and campaign engine measure wall
     # time on purpose (stderr-only content).
-    "DET001": (SIM_CORE + ("repro.obs", "repro.experiments"), ()),
+    "DET001": (SIMULATED_PACKAGES + ("repro.obs", "repro.experiments"), ()),
     "DET002": (("repro", "tools"), ()),
     "DET003": (("repro", "tools"), ()),
     "DET004": (("repro", "tools"), ENV_READ_ALLOWED),
@@ -81,7 +81,7 @@ RULE_SCOPES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "DET006": (("repro", "tools"), ()),
     "OBS001": (("repro.obs",), ()),
     "OBS002": (("repro.obs",), ()),
-    "OBS003": (SIM_CORE, ("repro.cluster",)),
+    "OBS003": (SIMULATED_PACKAGES, ("repro.cluster",)),
     "OBS004": (("repro.obs",), ()),
     "OBS005": (("repro.obs",), ()),
     "CAMP001": (("repro.campaign",), ()),
@@ -103,11 +103,9 @@ RULE_SCOPES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "PROTO005": (TOPOLOGY_SCOPE, ()),
     # Hot-path hygiene: only where the dispatch/send loops live.  The
     # rest of the tree is free to prefer clarity over loop-hoisting.
-    # repro.campaign.shard merges per-shard sample streams in tight
-    # loops, so it opts into the hot-callable rule too.
-    "PERF001": (("repro.sim", "repro.net", "repro.campaign.shard"), ()),
-    # Allocation-free dispatch is a repro.sim-only contract (the array
-    # core's free-list pool); elsewhere a constructor in a loop is fine.
+    "PERF001": (("repro.sim", "repro.net"), ()),
+    # Allocation-free dispatch is a repro.sim-only contract (the loop
+    # pops plain heap tuples); elsewhere a constructor in a loop is fine.
     "PERF002": (("repro.sim",), ()),
 }
 

@@ -12,12 +12,12 @@ before the loop, which also reads as a declaration of what the loop is
 hot on.  One-hop calls (``local.method(...)``, ``self.method(...)``)
 are the *result* of that fix and are not flagged.
 
-PERF002 guards the allocation-free-dispatch contract the array-backed
-core (``repro.sim.arraycore``) establishes: inside the loop body of a
+PERF002 guards the allocation-free-dispatch contract of
+``repro.sim.loop``'s dispatch loop: inside the loop body of a
 dispatch-shaped function (``run``, ``run_*``, or anything with
 ``dispatch`` in its name) a capitalized-callable constructor call
-allocates one object per event — exactly the cost the free-list event
-pool removes.  Exception constructors (``...Error``/``...Exception``
+allocates one object per event — exactly the cost popping plain heap
+tuples avoids.  Exception constructors (``...Error``/``...Exception``
 names) are raise-path code, not per-iteration cost, and are skipped.
 
 Like every detlint rule these are lint heuristics, not a profiler: a
@@ -141,8 +141,8 @@ class _PerfVisitor(ast.NodeVisitor):
             node,
             f"{name}() constructed inside the loop body of dispatch function "
             f"{self._function_stack[-1]}(): one allocation per event; "
-            f"preallocate, pool (see repro.sim.arraycore) or carry plain "
-            f"tuples instead",
+            f"preallocate, or carry plain tuples as repro.sim.loop's "
+            f"dispatch loop does",
         )
 
     def _check_hot_call(self, node: ast.Call) -> None:

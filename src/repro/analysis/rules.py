@@ -196,11 +196,11 @@ _RULE_LIST = [
         "PERF",
         "per-event object construction inside a dispatch loop",
         "The event-dispatch loops are the hottest code in the tree, and "
-        "the array-backed core exists precisely to eliminate per-event "
-        "allocation there; a constructor call per loop iteration inside "
-        "run()/run_until()/dispatch-style functions reintroduces it — "
-        "preallocate, pool, or carry plain tuples instead "
-        "(see repro.sim.arraycore's free-list event pool).",
+        "repro.sim.loop's dispatch loop pops plain heap tuples so that "
+        "nothing is allocated per event; a constructor call per loop "
+        "iteration inside run()/run_until()/dispatch-style functions "
+        "reintroduces that cost — preallocate, or carry plain tuples "
+        "instead.",
     ),
 ]
 

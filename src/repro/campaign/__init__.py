@@ -55,20 +55,10 @@ from repro.campaign.pool import (
     job_profile,
 )
 from repro.campaign.report import (
-    render_shards,
     render_slowest,
     render_summary,
     report_jsonable,
     write_report,
-)
-from repro.campaign.shard import (
-    SHARD_SEED_STRIDE,
-    merge_shard_groups,
-    merge_shard_results,
-    run_sharded,
-    shard_campaign_jobs,
-    shard_payloads,
-    shardable_reason,
 )
 
 __all__ = [
@@ -98,21 +88,13 @@ __all__ = [
     "payload_to_spec",
     "plan_campaign",
     "plan_experiment",
-    "SHARD_SEED_STRIDE",
-    "merge_shard_groups",
-    "merge_shard_results",
     "record_run",
-    "render_shards",
     "render_slowest",
     "render_summary",
     "report_jsonable",
     "resolve_experiment_ids",
     "result_fingerprint",
     "run_campaign",
-    "run_sharded",
-    "shard_campaign_jobs",
-    "shard_payloads",
-    "shardable_reason",
     "should_verify",
     "spec_to_payload",
     "write_baseline",

@@ -127,13 +127,6 @@ class CampaignOptions:
     duration: Optional[float] = None
     seed0: int = 0
     jobs: int = 0  # 0 = one worker per CPU
-    # Slice every shardable sim job into this many independent cohorts
-    # (repro.campaign.shard); 1 = unsharded.  Shard results merge back
-    # under the base job's key, so aggregation is oblivious to this.
-    # Deliberately NOT part of settings(): the baseline fingerprint
-    # tracks what was computed, and sharded campaigns compute a
-    # different (cohort) deployment model gated by its own tests.
-    shards: int = 1
     cache_dir: Optional[Path] = DEFAULT_CACHE_DIR
     verify_fraction: float = 0.0
     check: bool = False
@@ -141,10 +134,12 @@ class CampaignOptions:
     baseline_dir: Path = baseline_mod.DEFAULT_BASELINE_DIR
     echo: Optional[Callable[[str], None]] = None  # progress sink (stderr)
 
+    def __post_init__(self) -> None:
+        if self.jobs < 0:
+            raise ValueError(f"jobs must be >= 0 (0 = one per CPU), got {self.jobs}")
+
     def resolved_jobs(self) -> int:
-        if self.jobs and self.jobs > 0:
-            return self.jobs
-        return os.cpu_count() or 1
+        return self.jobs or os.cpu_count() or 1
 
     def settings(self) -> dict[str, Any]:
         """The settings fingerprint recorded in baselines and reports."""
@@ -215,21 +210,11 @@ def run_campaign(options: CampaignOptions) -> CampaignResult:
         seed0=options.seed0,
         duration=options.duration,
     )
-    shard_groups: dict[str, Any] = {}
-    if options.shards > 1:
-        from repro.campaign.shard import shard_campaign_jobs
-
-        jobs, shard_groups = shard_campaign_jobs(jobs, options.shards)
     plan_seconds = time.perf_counter() - plan_started
     echo(
         f"campaign: planned {len(jobs)} job(s) across {len(ids)} experiment(s) "
         f"({len({job.key for job in jobs})} distinct)"
     )
-    if shard_groups:
-        echo(
-            f"campaign: sharded {len(shard_groups)} run(s) into "
-            f"{options.shards} cohort(s) each"
-        )
 
     cache = ResultCache(options.cache_dir) if options.cache_dir is not None else None
     results, stats = execute_jobs(
@@ -240,13 +225,6 @@ def run_campaign(options: CampaignOptions) -> CampaignResult:
         echo=echo,
     )
     stats.plan_seconds = plan_seconds
-    if shard_groups:
-        from repro.campaign.shard import merge_shard_groups
-
-        # Deterministic reducer: consumes cohort results in shard order,
-        # so the merged result is independent of worker count and
-        # completion order.  Base keys now resolve like unsharded runs.
-        merge_shard_groups(results, shard_groups)
     if cache is not None:
         # Manifest for --gc: which keys this campaign referenced.
         record_run(cache.root, [job.key for job in jobs])

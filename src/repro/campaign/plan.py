@@ -62,18 +62,12 @@ from repro.workload.ycsb import YcsbProfile
 # 5 — RunSpec payloads gained a population entry (repro.population
 # aggregate-client backend) and client_stats gained aggregate-pool
 # counters for population runs.
-# 6 — sharded campaign execution: the new KIND_SHARD job kind (a sim
-# payload plus a "shard" cohort descriptor) and the deterministic
-# shard-merge reducer entered the result pipeline (repro.campaign.shard).
+# 6 — a since-removed job kind; sim/cell payloads and results did not
+# change when it went, so the number stays and warm caches stay valid.
 CACHE_SCHEMA = 6
 
 KIND_SIM = "sim"
 KIND_CELL = "tab1-cell"
-# One cohort slice of a sharded sim run (repro.campaign.shard): the
-# payload is a derived KIND_SIM payload (fewer clients, offset seed,
-# keep_metrics forced on) plus a "shard" metadata entry, so keys are
-# shard-aware while payload_to_spec reads it like any sim payload.
-KIND_SHARD = "sim-shard"
 
 _FAULT_TYPES = {
     cls.__name__: cls

@@ -76,16 +76,6 @@ def main(argv: list[str] | None = None) -> int:
         "--list", action="store_true", help="list available experiments and exit"
     )
     parser.add_argument(
-        "--sim-core",
-        choices=("tuple", "array"),
-        default=None,
-        help=(
-            "event-core backend for every simulation this invocation runs "
-            "(default: REPRO_SIM_CORE or 'tuple'); both cores produce "
-            "byte-identical results — this is a speed knob"
-        ),
-    )
-    parser.add_argument(
         "--protocol",
         default="idem",
         help="system to run against (chaos and trace only)",
@@ -119,17 +109,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=0,
         help="parallel worker processes (0 = one per CPU; campaign only)",
-    )
-    campaign.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="K",
-        help=(
-            "slice each shardable sim run into K independent client cohorts "
-            "executed in parallel and merged deterministically (campaign "
-            "only; default: 1 = unsharded)"
-        ),
     )
     campaign.add_argument(
         "--cache-dir",
@@ -250,21 +229,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Apply the event-core choice process-wide before anything builds a
-    # loop: explicit --sim-core wins, REPRO_SIM_CORE (read through the
-    # sanctioned settings accessor) is the fallback default.  The
-    # campaign pool re-applies this in its spawn workers.
-    from repro.experiments.settings import default_sim_core
-    from repro.sim.cores import set_default_core
-
-    try:
-        set_default_core(
-            args.sim_core if args.sim_core is not None else default_sim_core()
-        )
-    except ValueError as error:  # bad REPRO_SIM_CORE value
-        print(f"repro-experiments: {error}", file=sys.stderr)
-        return 2
-
     if args.experiment == "chaos":
         return run_chaos_command(args)
     if args.experiment == "trace":
@@ -324,7 +288,6 @@ def run_campaign_command(args) -> int:
     from repro.campaign import (
         CacheVerificationError,
         CampaignOptions,
-        render_shards,
         render_slowest,
         render_summary,
         run_campaign,
@@ -361,7 +324,6 @@ def run_campaign_command(args) -> int:
             duration=args.duration,
             seed0=args.seed,
             jobs=args.jobs,
-            shards=args.shards,
             cache_dir=None if args.no_cache else args.cache_dir,
             verify_fraction=args.verify,
             check=args.check,
@@ -369,6 +331,10 @@ def run_campaign_command(args) -> int:
             baseline_dir=args.baseline_dir,
             echo=echo,
         )
+    except ValueError as error:  # negative --jobs
+        print(f"campaign: {error}", file=sys.stderr)
+        return 2
+    try:
         result = run_campaign(options)
     except KeyError as error:
         print(f"campaign: {error.args[0]}", file=sys.stderr)
@@ -381,10 +347,6 @@ def run_campaign_command(args) -> int:
         print(outcome.text)
         print()
     print(render_summary(result), file=sys.stderr)
-    if args.shards > 1:
-        shard_lines = render_shards(result)
-        if shard_lines:
-            print(shard_lines, file=sys.stderr)
     if args.slowest > 0:
         print(render_slowest(result, args.slowest), file=sys.stderr)
     if result.baseline_report is not None:

@@ -46,7 +46,6 @@ from repro.protocols.paxos.config import PaxosConfig
 from repro.protocols.paxos.replica import PaxosReplica
 from repro.population.aggregate import AggregateClientNode
 from repro.population.spec import PopulationSpec
-from repro.sim.cores import make_loop
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RngRegistry
 from repro.workload.open_loop import ArrivalSpec
@@ -269,7 +268,6 @@ def build_cluster(
     start_clients: bool = True,
     population: Optional[PopulationSpec] = None,
     arrivals: Optional[ArrivalSpec] = None,
-    core: Optional[str] = None,
 ) -> Cluster:
     """Assemble a ready-to-run cluster of ``system`` with ``clients`` clients.
 
@@ -287,10 +285,6 @@ def build_cluster(
     for all ``clients`` virtual clients (see ``docs/WORKLOADS.md``);
     ``arrivals`` then optionally drives it open-loop (otherwise the
     node runs the spec's closed-loop / analytic-feedback modes).
-
-    ``core`` selects the event-loop backend (``"tuple"``/``"array"``,
-    see :mod:`repro.sim.cores`); ``None`` uses the process default.
-    Both cores dispatch identically, so this is a speed knob only.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; choose from {sorted(SYSTEMS)}")
@@ -298,7 +292,7 @@ def build_cluster(
         raise ValueError(f"need at least one client, got {clients}")
     profile = profile or ClusterProfile()
     spec = SYSTEMS[system]
-    loop = make_loop(core)
+    loop = EventLoop()
     rng = RngRegistry(seed)
     network = Network(
         loop,

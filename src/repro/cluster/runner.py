@@ -63,11 +63,6 @@ class RunSpec:
     # `observe` — probing rides the same sampling tick, so a probed run
     # is byte-identical to an observed one (and to a bare one).
     probes: bool = False
-    # Event-core backend ("tuple"/"array", see repro.sim.cores); None
-    # uses the process default (CLI --sim-core / REPRO_SIM_CORE).  Both
-    # cores dispatch identically — the equivalence suite gates that —
-    # so this is a speed knob and is excluded from campaign cache keys.
-    core: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.warmup >= self.duration:
@@ -93,7 +88,6 @@ def run_experiment(spec: RunSpec) -> ExperimentResult:
         start_clients=spec.arrivals is None or spec.population is not None,
         population=spec.population,
         arrivals=spec.arrivals if spec.population is not None else None,
-        core=spec.core,
     )
     driver = None
     if spec.arrivals is not None and spec.population is None:

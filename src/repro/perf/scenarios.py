@@ -19,14 +19,6 @@ Scenario catalogue:
   latency sampling and delivery scheduling.
 * ``fig2_slice`` — a saturated paxos replica from the paper's Figure 2
   (150 clients), the end-to-end composition of all of the above.
-* ``arraycore_churn`` — the ``event_churn`` shape on the opt-in
-  array-backed core (:mod:`repro.sim.arraycore`); its ratio against
-  ``event_churn`` is the core's dispatch-loop speedup.
-* ``sharded_fig2`` — the scale-out composition: a Figure-2-style run
-  sliced into 4 client cohorts, executed on the process pool with the
-  array core and merged deterministically.  Wall time includes pool
-  startup, so its ev/s against ``fig2_slice`` is the honest end-to-end
-  campaign speedup.
 """
 
 from __future__ import annotations
@@ -169,96 +161,6 @@ def net_multicast(scale: float = 1.0) -> PerfResult:
         loop.run()
 
     return _measure("net_multicast", loop, run)
-
-
-def arraycore_churn(scale: float = 1.0) -> PerfResult:
-    """The ``event_churn`` shape on the array-backed event core.
-
-    Identical schedule to :func:`event_churn` (same ``dispatched_events``
-    for a given scale), so the two scenarios' ev/s ratio isolates the
-    core's dispatch-loop cost from everything else.
-    """
-    from repro.sim.arraycore import ArrayEventLoop
-
-    loop = ArrayEventLoop()
-    total = max(2, int(200_000 * scale))
-
-    def chain(k: int) -> None:
-        if k:
-            loop.call_after(1e-6, chain, k - 1)
-
-    def run() -> None:
-        for i in range(total // 2):
-            loop.call_at(i * 1e-6, _nothing)
-        loop.call_after(0.0, chain, total // 2)
-        loop.run()
-
-    return _measure("arraycore_churn", loop, run)
-
-
-def sharded_fig2(scale: float = 1.0) -> PerfResult:
-    """A Figure-2-style run sharded 4 ways over the process pool.
-
-    The full scale-out path: plan one paxos run, slice it into 4
-    client cohorts (``repro.campaign.shard``), execute them on a
-    4-worker spawn pool running the array core, and merge
-    deterministically.  Wall time covers everything — pool startup,
-    shard execution, merge — so the ev/s is what a campaign actually
-    gains; ``dispatched_events`` is the cohort total and stays exact.
-    Falls back to serial shard execution where the platform has no
-    process pool (the rate drops; the count does not).
-    """
-    import os
-
-    from repro.campaign.plan import sim_job
-    from repro.campaign.pool import execute_jobs
-    from repro.campaign.shard import merge_shard_groups, shard_campaign_jobs
-    from repro.cluster.runner import RunSpec
-    from repro.sim.cores import use_core
-
-    duration = 0.5 * scale
-    spec = RunSpec(
-        system="paxos",
-        clients=150,
-        duration=duration,
-        warmup=min(0.3, duration * 0.3),
-        seed=1,
-    )
-    base = sim_job("perf", spec)
-    jobs, groups = shard_campaign_jobs([base], 4)
-    # The shard plan (and hence dispatched_events) is always 4-way; only
-    # the pool width adapts to the machine, so the count stays exact
-    # while single-core boxes are not charged for useless workers.
-    workers = max(1, min(4, os.cpu_count() or 1))
-
-    merged = None
-
-    def run() -> None:
-        nonlocal merged
-        with use_core("array"):
-            results, _ = execute_jobs(jobs, workers=workers, cache=None)
-            merge_shard_groups(results, groups)
-        merged = results[base.key]
-
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        started = time.perf_counter()
-        run()
-        wall_seconds = time.perf_counter() - started
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    sim_stats = merged.sim_stats
-    dispatched = sim_stats["dispatched_events"]
-    return PerfResult(
-        scenario="sharded_fig2",
-        wall_seconds=wall_seconds,
-        dispatched_events=dispatched,
-        events_per_sec=dispatched / wall_seconds if wall_seconds > 0 else 0.0,
-        peak_heap=sim_stats["peak_heap"],
-        drained_tombstones=sim_stats["drained_tombstones"],
-    )
 
 
 def fig2_slice(scale: float = 1.0) -> PerfResult:

@@ -210,6 +210,35 @@ class TestCache:
         clone = pickle.loads(pickle.dumps(tiny_result))
         assert result_fingerprint(clone) == result_fingerprint(tiny_result)
 
+    def test_leftover_shard_entry_never_serves_a_sim_job(
+        self, tmp_path, tiny_result, capsys
+    ):
+        """An older checkout's `--shards` left "sim-shard" entries and
+        manifests behind.  The kind is part of the key, so no sim job
+        resolves to one, and --gc reclaims them past the keep window."""
+        from repro.campaign import record_run
+        from repro.campaign.plan import Job
+        from repro.cli import main
+
+        cache = ResultCache(tmp_path)
+        cohort = dict(spec_to_payload(tiny_spec()), shard={"index": 0, "of": 2})
+        old = Job("fig2", "sim-shard", cohort, "fig2/idem/c2/s0#shard0of2")
+        cache.store(old.key, tiny_result, old)
+        record_run(cache.root, [old.key], started=1000.0)
+
+        current = sim_job("fig2", payload_to_spec(cohort))
+        assert current.key != old.key
+        assert cache.load(current.key) is MISS
+        _, stats = execute_jobs([current], workers=1, cache=cache)
+        assert stats.cache_hits == 0 and stats.executed == 1
+
+        record_run(cache.root, [current.key], started=2000.0)
+        argv = ["campaign", "--gc", "--gc-keep", "1", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "removed 1" in capsys.readouterr().out
+        assert not cache.contains(old.key)
+        assert cache.contains(current.key)
+
     def test_should_verify_bounds_and_determinism(self):
         key = "ab" * 32
         assert not should_verify(key, 0.0)
@@ -323,11 +352,45 @@ class TestCampaignEndToEnd:
         err = capsys.readouterr().err
         assert "regressed" in err and "=> FAIL" in err
 
-    def test_unknown_experiment_exits_two(self, capsys):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (["--experiments", "nope"], "unknown experiment"),
+            (["--experiments", "fig2", "--jobs", "-1"], "jobs must be >= 0"),
+        ],
+    )
+    def test_bad_usage_exits_two_with_one_line(self, bad, message, capsys):
         from repro.cli import main
 
-        assert main(["campaign", "--experiments", "nope"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        assert main(["campaign", *bad]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
+    def test_zero_jobs_still_means_one_per_cpu(self):
+        import os
+
+        assert CampaignOptions(jobs=0).resolved_jobs() == (os.cpu_count() or 1)
+
+    def test_removed_selectors_are_rejected_or_inert(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        for argv in (["--sim-core", "array", "fig2"], ["campaign", "--shards", "4"]):
+            with pytest.raises(SystemExit) as raised:
+                main(argv)
+            assert raised.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+        def traced() -> str:
+            argv = ["trace", "--clients", "2", "--duration", "0.3"]
+            assert main(argv + ["--out", str(tmp_path)]) == 0
+            return capsys.readouterr().out
+
+        baseline = traced()
+        for value in ("array", "no-such-core"):
+            monkeypatch.setenv("REPRO_SIM_CORE", value)
+            assert traced() == baseline
 
 
 class TestBaselines:

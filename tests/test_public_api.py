@@ -24,6 +24,20 @@ def test_all_names_resolve(package_name):
         assert hasattr(package, name), f"{package_name}.{name} is advertised but missing"
 
 
+def test_second_core_and_sharding_are_not_exported():
+    # One event loop, one deployment model: no selector survives as an alias.
+    removed = {
+        "repro.sim": "ArrayEvent ArrayEventLoop CORES make_loop use_core "
+        "set_default_core get_default_core",
+        "repro.campaign": "render_shards run_sharded shard_campaign_jobs "
+        "merge_shard_groups SHARD_SEED_STRIDE",
+    }
+    for package_name, names in removed.items():
+        package = importlib.import_module(package_name)
+        for name in names.split():
+            assert not hasattr(package, name), f"{package_name}.{name} is back"
+
+
 def test_top_level_quickstart_surface():
     import repro
 

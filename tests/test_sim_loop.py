@@ -140,6 +140,9 @@ def test_stopped_loop_rejects_new_events():
     loop.stop()
     with pytest.raises(StoppedError):
         loop.call_after(0.1, lambda: None)
+    # call_after inlines call_at's body, so each carries its own guard.
+    with pytest.raises(StoppedError):
+        loop.call_at(0.5, lambda: None)
 
 
 def test_run_drains_all_events():
@@ -254,6 +257,14 @@ def test_auto_drain_triggers_past_both_thresholds():
     assert loop.drained_tombstones == DRAIN_MIN_TOMBSTONES
     assert loop.pending_events == 0
     assert loop.cancelled_pending == 0
+
+
+def test_auto_drain_default_follows_the_module_flag(monkeypatch):
+    import repro.sim.loop as loop_module
+
+    monkeypatch.setattr(loop_module, "AUTO_DRAIN_DEFAULT", False)
+    assert EventLoop().auto_drain is False
+    assert EventLoop(auto_drain=True).auto_drain is True
 
 
 def test_auto_drain_waits_until_tombstones_dominate_the_heap():
