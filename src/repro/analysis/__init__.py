@@ -26,9 +26,8 @@ families (see :mod:`repro.analysis.rules` for the catalog):
 
 v2 analyses the whole project at once: a module/symbol index and call
 graph (:mod:`repro.analysis.index`) feed an interprocedural purity pass
-(:mod:`repro.analysis.interproc`), an incremental content-hash cache
-(:mod:`repro.analysis.incremental`) makes warm runs free, and
-:mod:`repro.analysis.sarif` renders SARIF 2.1.0 for code scanning.
+(:mod:`repro.analysis.interproc`), and :mod:`repro.analysis.sarif`
+renders SARIF 2.1.0 for code scanning.
 
 Run it as ``repro-experiments lint`` or ``python -m repro.analysis``;
 suppress individual findings with ``# detlint: disable=RULE -- reason``
@@ -44,7 +43,6 @@ from repro.analysis.engine import (
     lint_source,
 )
 from repro.analysis.findings import Finding
-from repro.analysis.incremental import LintCache
 from repro.analysis.index import ProjectIndex, build_index
 from repro.analysis.reporters import render_json, render_text
 from repro.analysis.rules import RULES, Rule
@@ -53,7 +51,6 @@ __all__ = [
     "Baseline",
     "BaselineEntry",
     "Finding",
-    "LintCache",
     "LintReport",
     "ProjectIndex",
     "RULES",

@@ -19,12 +19,10 @@ from repro.analysis.baseline import (
     write_baseline,
 )
 from repro.analysis.engine import lint_paths
-from repro.analysis.incremental import LintCache
 from repro.analysis.reporters import render_json, render_rule_catalog, render_text
 from repro.analysis.rules import RULES
 
 DEFAULT_BASELINE = Path("tools") / "detlint_baseline.json"
-DEFAULT_CACHE_DIR = Path(".detlint-cache")
 
 
 def default_paths() -> list[Path]:
@@ -73,21 +71,6 @@ def main(argv=None) -> int:
         "--rules", action="store_true", help="print the rule catalog and exit"
     )
     parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="enable the incremental cache (content-hash keyed; a warm "
-        "run over an unchanged tree re-analyses 0 modules)",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="incremental mode shorthand: use the cache at "
-        f"{DEFAULT_CACHE_DIR} (unless --cache-dir says otherwise) and "
-        "list the modules that were re-analysed",
-    )
-    parser.add_argument(
         "--sarif",
         type=Path,
         default=None,
@@ -131,13 +114,7 @@ def main(argv=None) -> int:
         print(f"detlint: no such path(s): {missing}", file=sys.stderr)
         return 2
 
-    cache = None
-    if args.cache_dir is not None or args.changed:
-        cache = LintCache(args.cache_dir or DEFAULT_CACHE_DIR)
-
-    report = lint_paths(
-        paths, baseline=baseline, rules_filter=rules_filter, cache=cache
-    )
+    report = lint_paths(paths, baseline=baseline, rules_filter=rules_filter)
 
     if args.update_baseline:
         # Regenerate from everything not suppressed at the source:

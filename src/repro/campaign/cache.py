@@ -189,15 +189,3 @@ class ResultCache:
                 path.unlink()
             except OSError:
                 pass
-
-    def purge(self) -> int:
-        """Drop every entry; returns how many results were removed."""
-        removed = 0
-        if not self.root.exists():
-            return removed
-        for path in self.root.glob("*/*.pkl"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        for path in self.root.glob("*/*.json"):
-            path.unlink(missing_ok=True)
-        return removed

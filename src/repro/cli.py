@@ -44,8 +44,7 @@ def main(argv: list[str] | None = None) -> int:
             "'all', 'campaign' for a parallel cached campaign, 'chaos' for a "
             "randomized fault-injection run, 'trace' for a traced run with "
             "request-lifecycle analysis, 'obs' for a probed run with "
-            "replica-state series and drift detection, 'perf' for the "
-            "simulator microbenchmark scenarios, 'population' for the "
+            "replica-state series and drift detection, 'population' for the "
             "aggregate-client backend validation harness, or 'lint' for the "
             "detlint determinism/purity static-analysis pass"
         ),
@@ -209,24 +208,6 @@ def main(argv: list[str] | None = None) -> int:
             "equivalence sweep and exit 1 if any row is outside tolerance"
         ),
     )
-    perf = parser.add_argument_group("perf options")
-    perf.add_argument(
-        "--scenarios",
-        default="all",
-        help="comma-separated perf scenario names (perf only; default: all)",
-    )
-    perf.add_argument(
-        "--repeat",
-        type=int,
-        default=3,
-        help="runs per scenario, fastest kept (perf only; default: 3)",
-    )
-    perf.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="scenario size multiplier (perf only; default: 1.0)",
-    )
     args = parser.parse_args(argv)
 
     if args.experiment == "chaos":
@@ -237,8 +218,6 @@ def main(argv: list[str] | None = None) -> int:
         return run_obs_command(args)
     if args.experiment == "campaign":
         return run_campaign_command(args)
-    if args.experiment == "perf":
-        return run_perf_command(args)
     if args.experiment == "population":
         return run_population_command(args)
 
@@ -361,55 +340,6 @@ def run_campaign_command(args) -> int:
         path = write_report(args.report, result)
         print(f"campaign: report written to {path}", file=sys.stderr)
     return result.exit_code
-
-
-def run_perf_command(args) -> int:
-    """Run the simulator microbenchmark scenarios (repro.perf).
-
-    Prints an events/sec table to stdout (wall-clock content — not
-    byte-stable).  ``--check`` gates against the committed
-    ``BENCH_simulator.json``: dispatched-event counts exactly, rates
-    within the baseline's tolerance band; exit 1 on failure.
-    ``--update-baselines`` refreshes that file from this run, and
-    ``--report`` writes the raw measurements as JSON.
-    """
-    import json
-
-    from repro.perf import (
-        check_perf_baseline,
-        render_results,
-        results_jsonable,
-        run_scenarios,
-        write_perf_baseline,
-    )
-
-    try:
-        names = (
-            None
-            if args.scenarios in ("all", "")
-            else [part for part in args.scenarios.split(",") if part]
-        )
-        results = run_scenarios(names, repeat=args.repeat, scale=args.scale)
-    except KeyError as error:
-        print(f"perf: {error.args[0]}", file=sys.stderr)
-        return 2
-    print(render_results(results))
-    if args.report:
-        document = results_jsonable(results, repeat=args.repeat, scale=args.scale)
-        os.makedirs(os.path.dirname(args.report) or ".", exist_ok=True)
-        with open(args.report, "w") as stream:
-            json.dump(document, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-        print(f"perf: report written to {args.report}", file=sys.stderr)
-    if args.update_baselines:
-        path = write_perf_baseline(args.baseline_dir, results, scale=args.scale)
-        print(f"perf: baseline written to {path}", file=sys.stderr)
-        return 0
-    if args.check:
-        report = check_perf_baseline(args.baseline_dir, results, scale=args.scale)
-        print(report.render(), file=sys.stderr)
-        return report.exit_code
-    return 0
 
 
 def run_population_command(args) -> int:

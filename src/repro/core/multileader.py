@@ -245,6 +245,9 @@ class MultiLeaderIdemReplica(IdemReplica):
         entry = self.active.pop(rid, None)
         if entry is not None:
             self.acceptance.observe_completion(self.loop.now - entry.accept_time)
+        # Same execute-path sweep as IdemReplica._on_executed: free the
+        # client's dedup-dead slots now, not at its next request.
+        self._release_dedup_dead(rid[0])
         if self.view == 0:
             responsible = self.coordinator_of(rid) == self.index
         else:

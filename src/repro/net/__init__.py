@@ -15,7 +15,6 @@ from repro.net.latency import (
 )
 from repro.net.message import Message
 from repro.net.network import Network, NetworkNode
-from repro.net.trace import MessageTracer, TraceFilter, TraceRecord
 from repro.net.traffic import TrafficMeter
 
 __all__ = [
@@ -24,11 +23,8 @@ __all__ = [
     "LatencyModel",
     "LogNormalLatency",
     "Message",
-    "MessageTracer",
     "Network",
     "NetworkNode",
-    "TraceFilter",
-    "TraceRecord",
     "TrafficMeter",
     "UniformLatency",
     "client_address",

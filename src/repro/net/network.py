@@ -14,7 +14,6 @@ from typing import Optional
 from repro.net.addresses import Address, CLIENT
 from repro.net.latency import LatencyModel, LogNormalLatency
 from repro.net.message import Message
-from repro.net.trace import message_rids
 from repro.net.traffic import TrafficMeter
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RngRegistry
@@ -67,9 +66,6 @@ class Network:
         self.egress_bandwidth = egress_bandwidth
         self._egress_free_at: dict[Address, float] = {}
         self.traffic = TrafficMeter()
-        # Optional observer recording every sent message (see
-        # repro.net.trace.MessageTracer).
-        self.tracer = None
         # Optional catch-all for client-kind addresses that have no
         # attached node: an aggregate population node (repro.population)
         # fabricates per-virtual-client source addresses, and replies to
@@ -167,18 +163,14 @@ class Network:
         Traffic is metered at send time whenever the sender is alive
         (bytes hit the wire even if the message is later lost).  The
         message is sized exactly once per send — ``size_bytes()`` walks
-        the payload, so the meter, the tracer and the serialisation
-        delay all share one measurement.
+        the payload, so the meter and the serialisation delay share one
+        measurement.
         """
         if src in self._crashed:
             return
         size = message.size_bytes()
         type_name = message.type_name()
         self.traffic.record(src, dst, type_name, size)
-        if self.tracer is not None:
-            self.tracer.record(
-                self._loop.now, src, dst, type_name, size, message_rids(message)
-            )
         self._transmit(src, dst, message, size)
 
     def _transmit(self, src: Address, dst: Address, message: Message, size: int) -> None:
@@ -241,14 +233,9 @@ class Network:
         size = message.size_bytes()
         type_name = message.type_name()
         record_traffic = self.traffic.record
-        tracer = self.tracer
-        rids = message_rids(message) if tracer is not None else None
-        now = self._loop.now
         transmit = self._transmit
         for dst in dsts:
             record_traffic(src, dst, type_name, size)
-            if tracer is not None:
-                tracer.record(now, src, dst, type_name, size, rids)
             transmit(src, dst, message, size)
 
     def _deliver(self, src: Address, dst: Address, message: Message) -> None:

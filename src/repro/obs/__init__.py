@@ -10,7 +10,6 @@ from repro.obs.analysis import (
     build_breakdowns,
     reject_reason_histogram,
     render_report,
-    resilience_summary,
     top_slowest,
 )
 from repro.obs.detect import (
@@ -67,7 +66,6 @@ __all__ = [
     "findings_jsonable",
     "reject_reason_histogram",
     "render_report",
-    "resilience_summary",
     "run_detectors",
     "series_counter_events",
     "top_slowest",

@@ -190,54 +190,6 @@ def top_slowest(
     return finished[:k]
 
 
-def resilience_summary(registry: MetricsRegistry) -> dict:
-    """Cross-client totals of the resilience counters.
-
-    ``client_sends`` counts every attempt's first send (retries
-    included), so distinct commands are ``sends - retries`` and the
-    *load-amplification factor* — copies put on the wire per distinct
-    command — is ``(sends + retransmits + hedges) / commands``.  A
-    factor of 1.0 means the reactive machinery never fired.
-    """
-    totals: dict = {
-        "sends": 0.0,
-        "retransmits": 0.0,
-        "retries": 0.0,
-        "hedges": 0.0,
-        "give_ups": 0.0,
-    }
-    retries_by_outcome: dict[str, float] = {}
-    give_ups_by_reason: dict[str, float] = {}
-    for metric in registry:
-        if metric.kind != "counter":
-            continue
-        if metric.name == "client_sends":
-            totals["sends"] += metric.value
-        elif metric.name == "client_retransmits":
-            totals["retransmits"] += metric.value
-        elif metric.name == "client_hedges":
-            totals["hedges"] += metric.value
-        elif metric.name == "client_retries":
-            totals["retries"] += metric.value
-            outcome = metric.labels.get("outcome", "?")
-            retries_by_outcome[outcome] = (
-                retries_by_outcome.get(outcome, 0.0) + metric.value
-            )
-        elif metric.name == "client_give_ups":
-            totals["give_ups"] += metric.value
-            reason = metric.labels.get("reason", "?")
-            give_ups_by_reason[reason] = (
-                give_ups_by_reason.get(reason, 0.0) + metric.value
-            )
-    commands = totals["sends"] - totals["retries"]
-    wire_copies = totals["sends"] + totals["retransmits"] + totals["hedges"]
-    totals["commands"] = commands
-    totals["load_amplification"] = wire_copies / commands if commands else 1.0
-    totals["retries_by_outcome"] = retries_by_outcome
-    totals["give_ups_by_reason"] = give_ups_by_reason
-    return totals
-
-
 def reject_reason_histogram(tracer: RequestTracer) -> dict[str, int]:
     """How often each rejection reason fired, across all replicas."""
     counts: dict[str, int] = {}

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Iterator, Union
 
+from repro.sim.monitor import percentile
+
 LabelKey = tuple[str, tuple[tuple[str, str], ...]]
 
 
@@ -116,16 +118,7 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Linear-interpolation percentile over the retained samples."""
-        ordered = sorted(self._samples)
-        if not ordered:
-            return 0.0
-        if len(ordered) == 1:
-            return ordered[0]
-        position = q * (len(ordered) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+        return percentile(sorted(self._samples), q)
 
     def snapshot(self) -> dict:
         if not self.count:

@@ -63,7 +63,7 @@ class RequestTracer:
     """Collects :class:`TraceEvent` rows, bounded by ``max_events``.
 
     Once the cap is reached further events are counted but dropped
-    (``truncated``), mirroring :class:`repro.net.trace.MessageTracer`.
+    (``truncated``).
     """
 
     def __init__(self, max_events: int = 2_000_000):

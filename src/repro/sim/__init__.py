@@ -18,7 +18,6 @@ from repro.sim.monitor import (
     IntervalRecorder,
     LatencyRecorder,
     SummaryStats,
-    TimeSeries,
 )
 from repro.sim.processor import Processor
 from repro.sim.rng import RngRegistry
@@ -36,6 +35,5 @@ __all__ = [
     "SimulationError",
     "StoppedError",
     "SummaryStats",
-    "TimeSeries",
     "Timer",
 ]

@@ -2,9 +2,8 @@
 
 These classes record what the paper's evaluation plots: latency samples
 with mean/std/percentile summaries (:class:`LatencyRecorder`), bucketed
-time series of throughput and latency for crash timelines
-(:class:`TimeSeries`, :class:`CounterSeries`), and windowed interval
-statistics (:class:`IntervalRecorder`).
+event counts for crash timelines (:class:`CounterSeries`), and
+windowed interval statistics (:class:`IntervalRecorder`).
 """
 
 from __future__ import annotations
@@ -49,10 +48,10 @@ class SummaryStats:
             std=math.sqrt(variance),
             minimum=ordered[0],
             maximum=ordered[-1],
-            p50=_percentile(ordered, 0.50),
-            p90=_percentile(ordered, 0.90),
-            p99=_percentile(ordered, 0.99),
-            p999=_percentile(ordered, 0.999),
+            p50=percentile(ordered, 0.50),
+            p90=percentile(ordered, 0.90),
+            p99=percentile(ordered, 0.99),
+            p999=percentile(ordered, 0.999),
         )
 
 
@@ -61,7 +60,7 @@ def _bucket_index(time: float, width: float) -> int:
     return int(time / width + 1e-9)
 
 
-def _percentile(ordered: list[float], q: float) -> float:
+def percentile(ordered: list[float], q: float) -> float:
     """Linear-interpolation percentile of an already sorted sample."""
     if not ordered:
         return 0.0
@@ -147,45 +146,6 @@ class CounterSeries:
             self._buckets.get(index, 0) for index in range(first, last)
         )
         return total / (end - start) if last > first else 0.0
-
-
-class TimeSeries:
-    """Averages scalar samples into fixed-width time buckets.
-
-    Used for crash-timeline plots: latency per 100 ms bucket, etc.
-    """
-
-    def __init__(self, bucket_width: float = 0.1):
-        if bucket_width <= 0:
-            raise ValueError(f"bucket width must be positive, got {bucket_width}")
-        self.bucket_width = bucket_width
-        self._sums: dict[int, float] = {}
-        self._counts: dict[int, int] = {}
-
-    def record(self, time: float, value: float) -> None:
-        """Record one sample at simulated time ``time``."""
-        index = int(time / self.bucket_width)
-        self._sums[index] = self._sums.get(index, 0.0) + value
-        self._counts[index] = self._counts.get(index, 0) + 1
-
-    def series(self) -> list[tuple[float, float]]:
-        """Return ``(bucket_start_time, mean_value)`` pairs; empty buckets are skipped."""
-        return [
-            (index * self.bucket_width, self._sums[index] / self._counts[index])
-            for index in sorted(self._sums)
-        ]
-
-    def mean_between(self, start: float, end: float) -> float:
-        """Mean of samples whose bucket start lies in ``[start, end)``."""
-        first = _bucket_index(start, self.bucket_width)
-        last = _bucket_index(end, self.bucket_width)
-        total = 0.0
-        count = 0
-        for index in range(first, last):
-            if index in self._sums:
-                total += self._sums[index]
-                count += self._counts[index]
-        return total / count if count else 0.0
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""detlint v2: project index, call graph, interprocedural OBS005,
-incremental cache and SARIF output.
+"""detlint v2: project index, call graph, interprocedural OBS005 and
+SARIF output.
 
 The per-rule fixture matrix lives in ``test_analysis.py``; this file
 covers everything that needs more than one module at a time.
@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import incremental
 from repro.analysis.__main__ import main
 from repro.analysis.baseline import (
     Baseline,
@@ -28,7 +27,6 @@ from repro.analysis.engine import (
     lint_source,
     module_name_for,
 )
-from repro.analysis.incremental import LintCache, engine_fingerprint
 from repro.analysis.index import ProjectIndex
 
 
@@ -107,29 +105,6 @@ def test_index_reexport_cycle_terminates():
     index.add_source("repro.a", "from repro.b import thing\n", "<a>")
     index.add_source("repro.b", "from repro.a import thing\n", "<b>")
     assert index.resolve_function("repro.a", "thing") is None
-
-
-def test_dep_closure_handles_cycles():
-    index = ProjectIndex()
-    index.add_source(
-        "repro.a", "from repro.b import beta\n\ndef alpha():\n    pass\n", "<a>"
-    )
-    index.add_source(
-        "repro.b", "from repro.a import alpha\n\ndef beta():\n    pass\n", "<b>"
-    )
-    assert index.dep_closure("repro.a") == frozenset({"repro.b"})
-    assert index.dep_closure("repro.b") == frozenset({"repro.a"})
-
-
-def test_plain_import_counts_as_dependency():
-    index = ProjectIndex()
-    index.add_source("repro.cluster.mutators", MUTATOR, "<m>")
-    index.add_source(
-        "repro.obs.plain",
-        "import repro.cluster.mutators\n\ndef go(sim):\n    repro.cluster.mutators.poke(sim)\n",
-        "<p>",
-    )
-    assert "repro.cluster.mutators" in index.project_deps("repro.obs.plain")
 
 
 def test_module_name_for_anchors_at_repro_and_tools():
@@ -289,7 +264,7 @@ def test_obs005_v1_and_v2_agree_on_sim_rootedness():
     assert [f for f in report.findings if f.rule == "OBS005"] == []
 
 
-# -- the incremental cache ----------------------------------------------
+# -- a clean on-disk tree for the CLI tests -----------------------------
 
 
 CLEAN_TREE = {
@@ -319,19 +294,6 @@ CLEAN_TREE = {
     ),
 }
 
-ALL_MODULES = sorted(
-    {
-        "repro",
-        "repro.cluster",
-        "repro.cluster.topo",
-        "repro.experiments",
-        "repro.experiments.runs",
-        "repro.workload",
-        "repro.workload.gen",
-    }
-)
-
-
 def write_tree(root: Path, files: dict[str, str]) -> None:
     for rel, source in files.items():
         path = root / rel
@@ -339,128 +301,7 @@ def write_tree(root: Path, files: dict[str, str]) -> None:
         path.write_text(source, encoding="utf-8")
 
 
-def run_cached(tmp_path: Path, baseline: Baseline | None = None):
-    cache = LintCache(tmp_path / "cache")
-    report = lint_paths([tmp_path / "repro"], baseline=baseline, cache=cache)
-    return report
-
-
-def test_cold_then_warm_run(tmp_path):
-    write_tree(tmp_path, CLEAN_TREE)
-    cold = run_cached(tmp_path)
-    assert cold.incremental
-    assert sorted(cold.modules_analysed) == ALL_MODULES
-    assert cold.modules_cached == []
-    warm = run_cached(tmp_path)
-    assert warm.modules_analysed == []
-    assert sorted(warm.modules_cached) == ALL_MODULES
-
-
-def test_editing_a_dependency_relints_only_its_dependents(tmp_path):
-    write_tree(tmp_path, CLEAN_TREE)
-    run_cached(tmp_path)
-    # topo.py is imported by runs.py; nothing else depends on it.
-    (tmp_path / "repro/cluster/topo.py").write_text(
-        CLEAN_TREE["repro/cluster/topo.py"] + "\n\ndef extra(config):\n    return config.f\n",
-        encoding="utf-8",
-    )
-    report = run_cached(tmp_path)
-    assert sorted(report.modules_analysed) == [
-        "repro.cluster.topo",
-        "repro.experiments.runs",
-    ]
-    assert "repro.workload.gen" in report.modules_cached
-
-
-def test_editing_a_leaf_relints_only_that_module(tmp_path):
-    write_tree(tmp_path, CLEAN_TREE)
-    run_cached(tmp_path)
-    (tmp_path / "repro/workload/gen.py").write_text(
-        'def shape():\n    return "read-heavy"\n', encoding="utf-8"
-    )
-    report = run_cached(tmp_path)
-    assert report.modules_analysed == ["repro.workload.gen"]
-
-
-def test_cached_findings_match_fresh_ones(tmp_path):
-    tree = dict(CLEAN_TREE)
-    tree["repro/cluster/topo.py"] = "def make():\n    f = 1\n"  # PROTO001
-    write_tree(tmp_path, tree)
-    cold = run_cached(tmp_path)
-    warm = run_cached(tmp_path)
-    key = lambda f: (f.rule, f.module, f.line, f.message)
-    assert [key(f) for f in warm.findings] == [key(f) for f in cold.findings]
-    assert warm.modules_analysed == []
-    assert [f.rule for f in warm.active] == ["PROTO001"]
-
-
-def test_suppressions_apply_to_cached_findings(tmp_path):
-    # The cache stores raw findings; a baseline added between runs
-    # suppresses them without any re-analysis.
-    tree = dict(CLEAN_TREE)
-    tree["repro/cluster/topo.py"] = "def make():\n    f = 1\n"
-    write_tree(tmp_path, tree)
-    run_cached(tmp_path)
-    baseline = Baseline(
-        entries=[
-            BaselineEntry(
-                rule="PROTO001",
-                module="repro.cluster.topo",
-                context="f = 1",
-                reason="fixture justification",
-            )
-        ]
-    )
-    warm = run_cached(tmp_path, baseline=baseline)
-    assert warm.modules_analysed == []
-    assert warm.active == []
-    assert [f.rule for f in warm.baseline_suppressed] == ["PROTO001"]
-
-
-def test_engine_fingerprint_invalidates_the_cache(tmp_path, monkeypatch):
-    write_tree(tmp_path, CLEAN_TREE)
-    run_cached(tmp_path)
-    old_fingerprint = engine_fingerprint()
-    monkeypatch.setattr(incremental, "ANALYSIS_SCHEMA_VERSION", 99)
-    assert engine_fingerprint() != old_fingerprint
-    report = run_cached(tmp_path)
-    assert sorted(report.modules_analysed) == ALL_MODULES
-    assert report.modules_cached == []
-
-
-def test_rules_filter_bypasses_the_cache(tmp_path):
-    write_tree(tmp_path, CLEAN_TREE)
-    run_cached(tmp_path)
-    cache = LintCache(tmp_path / "cache")
-    report = lint_paths(
-        [tmp_path / "repro"], rules_filter={"DET001"}, cache=cache
-    )
-    assert report.modules_cached == []
-
-
-def test_corrupt_cache_is_treated_as_empty(tmp_path):
-    write_tree(tmp_path, CLEAN_TREE)
-    run_cached(tmp_path)
-    (tmp_path / "cache" / incremental.CACHE_FILE).write_text(
-        "{not json", encoding="utf-8"
-    )
-    report = run_cached(tmp_path)
-    assert sorted(report.modules_analysed) == ALL_MODULES
-
-
-# -- the CLI: --changed, --sarif, --update-baseline ---------------------
-
-
-def test_cli_changed_warm_run_reports_zero_reanalysed(tmp_path, capsys, monkeypatch):
-    write_tree(tmp_path, CLEAN_TREE)
-    monkeypatch.chdir(tmp_path)
-    argv = ["--changed", "--baseline", str(tmp_path / "b.json"), "repro"]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert "served from cache" in first
-    assert main(argv) == 0
-    second = capsys.readouterr().out
-    assert "0 module(s) re-analysed" in second
+# -- the CLI: --sarif, --update-baseline --------------------------------
 
 
 def test_cli_sarif_output(tmp_path, capsys):

@@ -12,6 +12,7 @@ The acceptance properties from the campaign design:
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.campaign import (
     execute_jobs,
     extract_headlines,
     job_key,
+    job_profile,
     payload_to_spec,
     plan_campaign,
     plan_experiment,
@@ -37,6 +39,7 @@ from repro.campaign import (
 from repro.campaign.baseline import baseline_path
 from repro.campaign.engine import CampaignExecutor
 from repro.campaign.plan import KIND_CELL, KIND_SIM, sim_job
+from repro.campaign.report import render_slowest
 from repro.cluster.faults import FaultSchedule
 from repro.cluster.profile import ClusterProfile
 from repro.cluster.runner import RunSpec, run_experiment
@@ -376,11 +379,19 @@ class TestCampaignEndToEnd:
     ):
         from repro.cli import main
 
-        for argv in (["--sim-core", "array", "fig2"], ["campaign", "--shards", "4"]):
+        for argv in (
+            ["--sim-core", "array", "fig2"],
+            ["campaign", "--shards", "4"],
+            ["fig2", "--scenarios", "x"],
+            ["lint", "--changed"],
+            ["lint", "--cache-dir", "d"],
+        ):
             with pytest.raises(SystemExit) as raised:
                 main(argv)
             assert raised.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(["perf"]) == 2
+        assert "unknown experiment(s): ['perf']" in capsys.readouterr().err
 
         def traced() -> str:
             argv = ["trace", "--clients", "2", "--duration", "0.3"]
@@ -454,3 +465,78 @@ class TestBaselines:
         assert set(headlines) == {
             "knee.throughput", "knee.latency_ms", "max_load.latency_ms",
         }
+
+
+# -- per-job profiles ---------------------------------------------------
+
+
+def test_job_profile_pairs_wall_time_with_sim_counters():
+    job = sim_job("fig2", tiny_spec())
+    result = SimpleNamespace(
+        sim_stats={"dispatched_events": 500, "peak_heap": 42, "drained_tombstones": 7}
+    )
+    profile = job_profile(job, result, wall_seconds=0.5)
+    assert profile["key"] == job.key
+    assert profile["dispatched_events"] == 500
+    assert profile["events_per_sec"] == pytest.approx(1000.0)
+    assert profile["peak_heap"] == 42
+    assert profile["drained_tombstones"] == 7
+    assert profile["cached"] is False
+
+
+def test_job_profile_tolerates_results_without_sim_stats():
+    job = sim_job("fig2", tiny_spec())
+    profile = job_profile(job, object(), wall_seconds=0.5)
+    assert profile["wall_seconds"] == 0.5
+    assert profile["dispatched_events"] is None
+    assert profile["events_per_sec"] is None
+
+
+def test_cache_sidecar_profile_round_trip(tmp_path):
+    cache = ResultCache(tmp_path)
+    job = sim_job("fig2", tiny_spec())
+    profile = job_profile(job, object(), wall_seconds=1.25)
+    cache.store(job.key, {"data": 1}, job, profile=profile)
+    assert cache.load_profile(job.key) == profile
+    assert cache.load_profile("0" * 64) is None
+
+
+def test_execute_jobs_profiles_fresh_and_cached_runs(tmp_path):
+    cache = ResultCache(tmp_path)
+    jobs = [sim_job("fig2", tiny_spec())]
+
+    _, cold = execute_jobs(jobs, cache=cache)
+    assert len(cold.job_profiles) == 1
+    fresh = cold.job_profiles[0]
+    assert fresh["cached"] is False
+    assert fresh["wall_seconds"] > 0
+    assert fresh["dispatched_events"] > 0
+
+    _, warm = execute_jobs(jobs, cache=cache)
+    assert warm.executed == 0 and warm.cache_hits == 1
+    cached = warm.job_profiles[0]
+    assert cached["cached"] is True
+    # The sidecar preserved the original execution's cost.
+    assert cached["wall_seconds"] == fresh["wall_seconds"]
+    assert cached["dispatched_events"] == fresh["dispatched_events"]
+
+
+def test_render_slowest_orders_by_wall_time():
+    stats = ExecutionStats(
+        job_profiles=[
+            {"label": "fast", "wall_seconds": 0.1, "dispatched_events": 10,
+             "events_per_sec": 100.0, "cached": False},
+            {"label": "slow", "wall_seconds": 2.0, "dispatched_events": 10,
+             "events_per_sec": 5.0, "cached": True},
+            {"label": "unprofiled", "wall_seconds": None},
+        ]
+    )
+    text = render_slowest(SimpleNamespace(stats=stats), k=1)
+    assert "Slowest 1 of 2" in text
+    assert "slow (cached)" in text
+    assert "fast" not in text
+
+
+def test_render_slowest_with_no_profiles():
+    text = render_slowest(SimpleNamespace(stats=ExecutionStats()), k=5)
+    assert "no job profiles" in text

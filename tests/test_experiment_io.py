@@ -3,8 +3,7 @@
 import json
 
 from repro.experiments.io import save_json, to_jsonable
-from repro.net.trace import TraceRecord
-from repro.net.addresses import replica_address
+from repro.obs import WindowStats
 from repro.sim.monitor import SummaryStats
 
 from tests.test_experiments import make_point
@@ -31,9 +30,8 @@ class TestToJsonable:
         assert jsonable["count"] == 3
 
     def test_namedtuples(self):
-        record = TraceRecord(1.0, replica_address(0), replica_address(1), "Commit", 32)
-        jsonable = to_jsonable(record)
-        assert jsonable["type_name"] == "Commit"
+        jsonable = to_jsonable(WindowStats(3, 1.0, 2.0, 1.5, 2.0))
+        assert jsonable["mean"] == 1.5
         json.dumps(jsonable)
 
     def test_unknown_objects_fall_back_to_repr(self):

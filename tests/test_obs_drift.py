@@ -237,7 +237,7 @@ class TestStormRegression:
     """The acceptance gate: pre-fix figR storm fires the detector,
     the fixed code runs the same storm clean and recovers."""
 
-    def _storm_result(self):
+    def _storm_result(self, system="idem"):
         from repro.cluster.runner import run_experiment
         from repro.experiments.figR_retry_storm import (
             ANY_RETRY,
@@ -247,7 +247,7 @@ class TestStormRegression:
         )
 
         overrides = {**BASE_OVERRIDES, **IDEM_OVERRIDES, **ANY_RETRY}
-        spec = storm_spec("idem", "naive-any", overrides, 0, probes=True)
+        spec = storm_spec(system, "naive-any", overrides, 0, probes=True)
         return run_experiment(spec)
 
     def test_prefix_storm_flags_the_leak(self, monkeypatch):
@@ -270,3 +270,17 @@ class TestStormRegression:
         run = measure_storm("idem", "naive-any", overrides, probes=True)
         assert run.recovered
         assert run.drift_findings == 0
+
+    def test_multileader_storm_frees_dead_slots_on_execute(self):
+        # MultiLeaderIdemReplica overrides _on_executed, so it needs its
+        # own execute-path sweep.
+        result = self._storm_result("idem-multileader")
+        samples = [
+            value
+            for (_, name), series in result.obs.recorder.items()
+            if name == "dead_slots"
+            for _, value in series.samples()
+        ]
+        assert samples and not any(samples)
+        rules = {finding["rule"] for finding in result.findings}
+        assert "active_set_leak" not in rules

@@ -105,6 +105,16 @@ class TestMetricsRegistry:
         assert histogram.percentile(0.5) <= histogram.percentile(0.99)
         assert histogram.percentile(0.99) <= histogram.maximum
 
+    def test_histogram_percentile_never_undershoots_the_minimum(self):
+        # 0.5 * 5e-324 rounds to 0.0, so a lo*(1-f) + hi*f interpolation
+        # would report a median below the minimum.
+        histogram = MetricsRegistry().histogram("latency")
+        histogram.observe(5e-324)
+        histogram.observe(5e-324)
+        assert histogram.percentile(0.5) == 5e-324
+        snapshot = histogram.snapshot()
+        assert snapshot["p50"] >= snapshot["min"]
+
     def test_snapshot_is_sorted_and_complete(self):
         registry = MetricsRegistry()
         registry.counter("b").inc()

@@ -1,6 +1,7 @@
 """The public API surface: every advertised name exists and imports."""
 
 import importlib
+import importlib.util
 
 import pytest
 
@@ -25,17 +26,26 @@ def test_all_names_resolve(package_name):
 
 
 def test_second_core_and_sharding_are_not_exported():
-    # One event loop, one deployment model: no selector survives as an alias.
+    # One event loop, one deployment model, one instrument per question:
+    # no selector survives as an alias.
     removed = {
         "repro.sim": "ArrayEvent ArrayEventLoop CORES make_loop use_core "
-        "set_default_core get_default_core",
+        "set_default_core get_default_core TimeSeries",
         "repro.campaign": "render_shards run_sharded shard_campaign_jobs "
         "merge_shard_groups SHARD_SEED_STRIDE",
+        "repro.net": "MessageTracer TraceFilter TraceRecord",
+        "repro.analysis": "LintCache",
+        "repro.obs": "resilience_summary",
     }
     for package_name, names in removed.items():
         package = importlib.import_module(package_name)
         for name in names.split():
             assert not hasattr(package, name), f"{package_name}.{name} is back"
+    assert importlib.util.find_spec("repro.perf") is None
+    from repro.net import Network
+    from repro.sim import EventLoop, RngRegistry
+
+    assert not hasattr(Network(EventLoop(), RngRegistry(0)), "tracer")
 
 
 def test_top_level_quickstart_surface():

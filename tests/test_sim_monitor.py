@@ -10,7 +10,6 @@ from repro.sim.monitor import (
     IntervalRecorder,
     LatencyRecorder,
     SummaryStats,
-    TimeSeries,
 )
 
 
@@ -121,26 +120,6 @@ class TestCounterSeries:
     def test_invalid_bucket_width(self):
         with pytest.raises(ValueError):
             CounterSeries(0.0)
-
-
-class TestTimeSeries:
-    def test_bucket_means(self):
-        series = TimeSeries(1.0)
-        series.record(0.1, 10.0)
-        series.record(0.9, 20.0)
-        series.record(2.5, 5.0)
-        assert series.series() == [(0.0, 15.0), (2.0, 5.0)]
-
-    def test_mean_between(self):
-        series = TimeSeries(1.0)
-        series.record(0.5, 10.0)
-        series.record(1.5, 30.0)
-        assert series.mean_between(0.0, 2.0) == pytest.approx(20.0)
-        assert series.mean_between(5.0, 6.0) == 0.0
-
-    def test_invalid_bucket_width(self):
-        with pytest.raises(ValueError):
-            TimeSeries(-1.0)
 
 
 class TestIntervalRecorder:
