@@ -1,5 +1,6 @@
 """``repro.campaign`` — parallel experiment campaigns with a
-content-addressed result cache and a baseline regression gate.
+content-addressed result cache, the paper-claims gate and a baseline
+regression gate.
 
 Quickstart::
 
@@ -12,7 +13,7 @@ Quickstart::
 Or from the command line::
 
     repro-experiments campaign --jobs 4                # all figures/tables
-    repro-experiments campaign --check                 # gate against baselines
+    repro-experiments campaign --check                 # gate claims + baselines
     repro-experiments campaign --update-baselines      # refresh BENCH_*.json
 
 See ``docs/CAMPAIGNS.md`` for the planner/cache/baseline model.
@@ -22,14 +23,12 @@ from repro.campaign.baseline import (
     BaselineEntry,
     BaselineReport,
     check_baselines,
-    extract_headlines,
     load_baseline,
     write_baseline,
 )
 from repro.campaign.cache import MISS, ResultCache, result_fingerprint, should_verify
 from repro.campaign.gc import GcReport, collect_garbage, record_run
 from repro.campaign.engine import (
-    CachingExecutor,
     CampaignExecutor,
     CampaignOptions,
     CampaignResult,
@@ -66,7 +65,6 @@ __all__ = [
     "BaselineReport",
     "CACHE_SCHEMA",
     "CacheVerificationError",
-    "CachingExecutor",
     "CampaignExecutor",
     "CampaignOptions",
     "CampaignResult",
@@ -81,7 +79,6 @@ __all__ = [
     "collect_garbage",
     "execute_jobs",
     "execute_payload",
-    "extract_headlines",
     "job_key",
     "job_profile",
     "load_baseline",

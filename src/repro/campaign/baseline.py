@@ -2,10 +2,14 @@
 
 Each experiment reduces to a handful of *headline metrics* — the
 numbers the paper's prose quotes (knee throughput, plateau latency,
-reject downtime, traffic-overhead ratios).  A campaign run with
+reject downtime, traffic-overhead ratios) — returned by the experiment
+module's own ``headlines(data)``.  A campaign run with
 ``--update-baselines`` writes them to committed ``BENCH_<id>.json``
-files under ``benchmarks/baselines/``; ``--check`` re-extracts them and
-fails (non-zero exit) when any metric drifts beyond its tolerance band.
+files under ``benchmarks/baselines/``; ``--check`` compares the current
+ones and fails (non-zero exit) when any metric drifts beyond its
+tolerance band.  This half of the gate catches *drift*; whether a curve
+still has the shape the paper claims is the other half
+(``claims(data)``, evaluated by :mod:`repro.campaign.engine`).
 
 Baselines are only comparable when produced under the same campaign
 settings (quick mode, runs, duration, seed), so the settings are
@@ -18,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import repro
 
@@ -33,142 +37,6 @@ DEFAULT_ABSOLUTE_TOLERANCE = 1e-6
 
 #: Settings fields that must match for a baseline comparison to be valid.
 SETTINGS_FIELDS = ("quick", "runs", "duration", "seed0")
-
-
-def _fig2_headlines(data: Any) -> dict[str, float]:
-    knee = data.saturation_point()
-    return {
-        "knee.throughput": knee.throughput,
-        "knee.latency_ms": knee.latency_ms,
-        "max_load.latency_ms": data.points[-1].latency_ms,
-    }
-
-
-def _fig3_headlines(data: Any) -> dict[str, float]:
-    return {
-        "reject_downtime_s": data.reject_downtime,
-        "pre_crash_reject_rate": data.pre_crash_reject_rate,
-        "post_crash_reject_rate": data.post_crash_reject_rate,
-    }
-
-
-def _fig6_headlines(data: Any) -> dict[str, float]:
-    metrics: dict[str, float] = {}
-    for system in data.curves:
-        metrics[f"{system}.max_throughput"] = data.max_throughput(system)
-        metrics[f"{system}.saturation_latency_ms"] = data.latency_at_saturation(system)
-        metrics[f"{system}.max_load_latency_ms"] = data.latency_at_max_load(system)
-    return metrics
-
-
-def _fig7_headlines(data: Any) -> dict[str, float]:
-    heaviest = data.points[-1]
-    return {
-        "max_load.throughput": heaviest.throughput,
-        "max_load.reject_share": heaviest.reject_share,
-        "max_load.reject_latency_ms": heaviest.reject_latency_ms,
-    }
-
-
-def _fig8_headlines(data: Any) -> dict[str, float]:
-    metrics: dict[str, float] = {}
-    for threshold in data.curves:
-        metrics[f"rt{threshold}.max_throughput"] = data.max_throughput(threshold)
-        metrics[f"rt{threshold}.plateau_latency_ms"] = data.plateau_latency(threshold)
-    return metrics
-
-
-def _fig9_headlines(data: Any) -> dict[str, float]:
-    final = data.extreme_final()
-    peak = data.extreme_peak_throughput()
-    return {
-        "extreme.peak_throughput": peak,
-        "extreme.final_fraction_of_peak": final.throughput / peak if peak else 0.0,
-        "extreme.final_latency_ms": final.latency_ms,
-        "misconfig.max_load_latency_ms": data.misconfigured[-1].latency_ms,
-    }
-
-
-def _fig10_headlines(data: Any) -> dict[str, float]:
-    metrics: dict[str, float] = {}
-    for panel, runs in (("abc", data.panels_abc), ("d", data.panel_d)):
-        for run_ in runs:
-            key = f"{panel}.{run_.system}.c{run_.clients}.{run_.target}"
-            metrics[f"{key}.service_gap_s"] = run_.service_gap
-            metrics[f"{key}.reject_downtime_s"] = run_.reject_downtime
-            metrics[f"{key}.post_throughput"] = run_.post_throughput
-    return metrics
-
-
-def _figR_headlines(data: Any) -> dict[str, float]:
-    metrics: dict[str, float] = {}
-    for run_ in data.runs:
-        key = f"{run_.system}.{run_.policy}"
-        # 0/1 indicators are robust to the ±15% band: they only move
-        # when the hysteresis story itself changes.
-        metrics[f"{key}.recovered"] = 1.0 if run_.recovered else 0.0
-        metrics[f"{key}.amplification"] = run_.amplification
-        if run_.drift_findings is not None:
-            # Probed arm: the drift detectors must stay silent (the
-            # active-slot leak regression gate; 0/1-style like recovered).
-            metrics[f"{key}.drift_findings"] = float(run_.drift_findings)
-    chaos_violations = sum(
-        len(run_.safety_violations) for run_ in data.runs if run_.crashed
-    )
-    metrics["chaos.safety_violations"] = float(chaos_violations)
-    return metrics
-
-
-def _figM_headlines(data: Any) -> dict[str, float]:
-    metrics: dict[str, float] = {}
-    for run_ in data.runs:
-        key = f"{run_.system}.n{run_.clients}"
-        metrics[f"{key}.goodput"] = run_.goodput
-        metrics[f"{key}.p99_ms"] = run_.p99_ms
-        metrics[f"{key}.reject_rate"] = run_.reject_rate
-        # The backend's cost claim: simulation cost per request is flat
-        # in N (the 1M arm must not cost more events than the 10k arm).
-        metrics[f"{key}.events_per_request"] = run_.events_per_request
-    return metrics
-
-
-def _tab1_headlines(data: Any) -> dict[str, float]:
-    metrics: dict[str, float] = {}
-    loads = sorted({cell.load_label for cell in data.cells})
-    for load in loads:
-        idem = data.cell("idem", load)
-        nopr = data.cell("idem-nopr", load)
-        slug = load.split(" ")[0]
-        metrics[f"{slug}.idem_bytes_per_request"] = idem.bytes_per_request
-        # The paper's overhead claim: rejection costs ~nothing on the wire.
-        metrics[f"{slug}.overhead_ratio"] = (
-            idem.bytes_per_request / nopr.bytes_per_request
-            if nopr.bytes_per_request
-            else 0.0
-        )
-    return metrics
-
-
-HEADLINE_EXTRACTORS: dict[str, Callable[[Any], dict[str, float]]] = {
-    "fig2": _fig2_headlines,
-    "fig3": _fig3_headlines,
-    "fig6": _fig6_headlines,
-    "fig7": _fig7_headlines,
-    "fig8": _fig8_headlines,
-    "fig9": _fig9_headlines,
-    "fig10": _fig10_headlines,
-    "figR": _figR_headlines,
-    "figM": _figM_headlines,
-    "tab1": _tab1_headlines,
-}
-
-
-def extract_headlines(experiment_id: str, data: Any) -> dict[str, float]:
-    """The headline metrics of one experiment's data object."""
-    extractor = HEADLINE_EXTRACTORS.get(experiment_id)
-    if extractor is None:
-        return {}
-    return {metric: float(value) for metric, value in extractor(data).items()}
 
 
 def baseline_path(directory: Path, experiment_id: str) -> Path:

@@ -11,8 +11,13 @@ A campaign run has four phases:
    with a :class:`CampaignExecutor` installed, so every simulation it
    asks for is served from the pre-computed result map.  Output is
    therefore byte-identical to the serial path by construction.
-4. **Gate** — extract headline metrics and compare them against the
-   committed ``BENCH_*.json`` baselines (:mod:`repro.campaign.baseline`).
+4. **Gate** — ask each experiment module for its verdict on the data
+   just aggregated (no further simulation): ``claims(data)``, the
+   paper's qualitative claims, and ``headlines(data)``, compared with
+   the committed ``BENCH_*.json`` baselines
+   (:mod:`repro.campaign.baseline`).  Under ``--check`` a claim that
+   does not hold fails the campaign like a drifted headline does, and
+   ``--update-baselines`` refuses to bless anything while one fails.
 """
 
 from __future__ import annotations
@@ -24,11 +29,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro.campaign import baseline as baseline_mod
-from repro.campaign.cache import (
-    DEFAULT_CACHE_DIR,
-    MISS,
-    ResultCache,
-)
+from repro.campaign.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.campaign.gc import record_run
 from repro.campaign.plan import (
     KIND_CELL,
@@ -88,35 +89,6 @@ class CampaignExecutor:
         )
 
 
-class CachingExecutor:
-    """Cache-through executor (no pre-plan): check the disk cache, run
-    on miss, store.  Used to make ad-hoc reruns (e.g. the benchmark
-    suite with ``REPRO_BENCH_CACHE=1``) incremental without a campaign.
-    """
-
-    def __init__(self, cache: ResultCache):
-        self.cache = cache
-
-    def _through(self, kind: str, payload: dict[str, Any]) -> Any:
-        key = job_key(kind, payload)
-        cached = self.cache.load(key)
-        if cached is not MISS:
-            return cached
-        result = execute_payload(kind, payload)
-        self.cache.store(key, result)
-        return result
-
-    def run_spec(self, spec: RunSpec) -> ExperimentResult:
-        try:
-            payload = spec_to_payload(spec)
-        except UnplannableSpec:
-            return run_experiment(spec)
-        return self._through(KIND_SIM, payload)
-
-    def run_cell(self, kwargs: dict[str, Any]) -> Any:
-        return self._through(KIND_CELL, dict(kwargs))
-
-
 @dataclass
 class CampaignOptions:
     """Everything a campaign run needs."""
@@ -159,6 +131,7 @@ class ExperimentOutcome:
     data: Any
     text: str
     headlines: dict[str, float]
+    claims: list[common.Claim]
 
 
 @dataclass
@@ -176,10 +149,23 @@ class CampaignResult:
         return {o.experiment_id: o.headlines for o in self.outcomes}
 
     @property
+    def claims(self) -> list[common.Claim]:
+        return [claim for o in self.outcomes for claim in o.claims]
+
+    @property
+    def failed_claims(self) -> list[common.Claim]:
+        return [claim for claim in self.claims if not claim.holds]
+
+    @property
     def ok(self) -> bool:
         if self.stats.verify_failures:
             return False
         if self.baseline_report is not None and not self.baseline_report.ok:
+            return False
+        # A broken claim is fatal only where the campaign vouches for
+        # the model: when gating it, or when blessing its numbers.
+        gating = self.options.check or self.options.update_baselines
+        if gating and self.failed_claims:
             return False
         return True
 
@@ -247,16 +233,15 @@ def run_campaign(options: CampaignOptions) -> CampaignResult:
                     experiment_id=experiment_id,
                     data=data,
                     text=module.render(data),
-                    headlines=baseline_mod.extract_headlines(experiment_id, data),
+                    headlines=module.headlines(data),
+                    claims=module.claims(data),
                 )
             )
     stats.aggregate_seconds = time.perf_counter() - aggregate_started
 
     result = CampaignResult(options=options, outcomes=outcomes, stats=stats)
-    if options.update_baselines:
+    if options.update_baselines and not result.failed_claims:
         for outcome in outcomes:
-            if not outcome.headlines:
-                continue
             result.baseline_paths.append(
                 baseline_mod.write_baseline(
                     options.baseline_dir,

@@ -10,6 +10,7 @@ CI parses for the cache-hit-rate assertion and uploads as an artifact.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Any
@@ -67,6 +68,11 @@ def render_summary(result: CampaignResult) -> str:
         lines.append(
             "  baselines   : wrote "
             + ", ".join(path.name for path in result.baseline_paths)
+        )
+    elif result.options.update_baselines:
+        lines.append(
+            f"  baselines   : NOT written — {len(result.failed_claims)} paper "
+            "claim(s) fail; a flattened curve cannot be blessed"
         )
     finding_lines = render_findings(result)
     if finding_lines:
@@ -153,6 +159,7 @@ def report_jsonable(result: CampaignResult) -> dict[str, Any]:
         },
         "job_profiles": stats.job_profiles,
         "headlines": result.headlines,
+        "claims": [dataclasses.asdict(claim) for claim in result.claims],
         "baseline": (
             None
             if result.baseline_report is None

@@ -5,7 +5,7 @@ Usage::
     repro-experiments fig6                  # one experiment, full settings
     repro-experiments all --quick           # everything, scaled-down
     repro-experiments campaign --jobs 4     # parallel, cached campaign
-    repro-experiments campaign --check      # gate against BENCH_* baselines
+    repro-experiments campaign --check      # gate paper claims + BENCH_* baselines
     repro-experiments lint --check          # detlint determinism/purity gate
     repro-experiments population --validate # aggregate-vs-object equivalence
     repro-experiments --list
@@ -40,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
         default="all",
         help=(
             "experiment id (fig2, fig3, fig6, fig7, tab1, fig8, fig9, fig10, "
-            "figR, figM), "
+            "figR, figM, abl), "
             "'all', 'campaign' for a parallel cached campaign, 'chaos' for a "
             "randomized fault-injection run, 'trace' for a traced run with "
             "request-lifecycle analysis, 'obs' for a probed run with "
@@ -129,12 +129,14 @@ def main(argv: list[str] | None = None) -> int:
     campaign.add_argument(
         "--check",
         action="store_true",
-        help="gate headline metrics against BENCH_* baselines; exit 1 on regression",
+        help="gate the paper's claims and the BENCH_* headline baselines; "
+        "exit 1 on a failing claim or a regression",
     )
     campaign.add_argument(
         "--update-baselines",
         action="store_true",
-        help="refresh the BENCH_* baseline files from this campaign's results",
+        help="refresh the BENCH_* baseline files from this campaign's results "
+        "(refused, exit 1, while any paper claim fails)",
     )
     campaign.add_argument(
         "--baseline-dir",
@@ -261,7 +263,8 @@ def run_campaign_command(args) -> int:
 
     stdout carries only the rendered experiment reports — fully
     deterministic, so two runs with the same settings diff clean.
-    Progress, cache statistics and the baseline verdict go to stderr;
+    Progress, cache statistics, the paper-claims table and the baseline
+    verdict go to stderr;
     ``--report`` additionally writes a machine-readable JSON artifact.
     """
     from repro.campaign import (
@@ -272,6 +275,7 @@ def run_campaign_command(args) -> int:
         run_campaign,
         write_report,
     )
+    from repro.experiments.common import render_claims
 
     def echo(message: str) -> None:
         print(message, file=sys.stderr)
@@ -328,6 +332,7 @@ def run_campaign_command(args) -> int:
     print(render_summary(result), file=sys.stderr)
     if args.slowest > 0:
         print(render_slowest(result, args.slowest), file=sys.stderr)
+    print(render_claims(result.claims), file=sys.stderr)
     if result.baseline_report is not None:
         print(result.baseline_report.render(), file=sys.stderr)
     if args.json:

@@ -1,12 +1,12 @@
 """The paper's evaluation: one module per figure/table.
 
 Every module exposes ``run(quick=False, runs=None, seed0=0,
-duration=None) -> data``, ``render(data) -> str`` and a campaign-planner
-hook (``plan_runs``/``plan_cells``); the registry maps experiment ids
-(``fig2``, ``tab1``, ...) to them.  The benchmarks in ``benchmarks/``
-are thin wrappers that execute these modules and assert the paper's
-qualitative claims; ``repro.campaign`` plans, parallelises, caches and
-gates whole campaigns of them.
+duration=None) -> data``, ``render(data) -> str``, a campaign-planner
+hook (``plan_runs``/``plan_cells``) and the two pure verdict functions
+``headlines(data)`` and ``claims(data)``; the registry maps experiment
+ids (``fig2``, ``tab1``, ``abl``, ...) to them.  ``repro.campaign``
+plans, parallelises and caches whole campaigns of them and gates the
+paper's qualitative claims and the committed headline baselines.
 """
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment_by_id

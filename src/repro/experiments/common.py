@@ -14,6 +14,12 @@ an executor via :func:`use_executor` to serve results from its parallel,
 content-addressed job store instead.  Experiments therefore stay plain
 serial code — the aggregation order, and hence the rendered output, is
 identical whether results are computed inline or fanned out.
+
+A figure's verdict lives beside its data: every experiment module
+returns a list of :class:`Claim` from ``claims(data)`` — the paper's
+qualitative statements (who wins, where the knee is, by what factor)
+evaluated on the measured numbers — and :func:`render_claims` formats
+them as the paper-vs-measured table ``campaign`` prints and gates on.
 """
 
 from __future__ import annotations
@@ -230,6 +236,42 @@ def jain_fairness(shares: list[float]) -> float:
     if squares == 0:
         return 1.0
     return (total * total) / (len(shares) * squares)
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One qualitative claim of the paper, evaluated on measured data."""
+
+    id: str  # "<experiment>.<slug>", stable across runs
+    paper: str  # what the paper says, with its section
+    measured: str  # the measured values the verdict rests on
+    holds: bool
+    note: str = ""  # only where EXPERIMENTS.md documents a deviation
+
+
+def render_claims(claims: list[Claim]) -> str:
+    """The paper-vs-measured table, its notes and the ``N/N hold`` line."""
+    rows = [
+        [
+            claim.id + ("*" if claim.note else ""),
+            "holds" if claim.holds else "FAILS",
+            claim.measured,
+            claim.paper,
+        ]
+        for claim in claims
+    ]
+    lines = [
+        render_table(
+            "Paper claims:", ["claim", "verdict", "measured", "paper"], rows
+        )
+    ]
+    lines.extend(f"* {claim.id}: {claim.note}" for claim in claims if claim.note)
+    failed = [claim.id for claim in claims if not claim.holds]
+    lines.append(
+        f"claims: {len(claims) - len(failed)}/{len(claims)} hold"
+        + (f"; FAILS: {', '.join(failed)}" if failed else "")
+    )
+    return "\n".join(lines)
 
 
 def _mean(values: list[float]) -> float:

@@ -75,3 +75,42 @@ def render(data: Fig2Data) -> str:
         common.POINT_HEADERS,
         common.point_rows(data.points),
     )
+
+
+def headlines(data: Fig2Data) -> dict[str, float]:
+    """Headline metrics gated against ``BENCH_fig2.json``."""
+    knee = data.saturation_point()
+    return {
+        "knee.throughput": knee.throughput,
+        "knee.latency_ms": knee.latency_ms,
+        "max_load.latency_ms": data.points[-1].latency_ms,
+    }
+
+
+def claims(data: Fig2Data) -> list[common.Claim]:
+    """Section 3.1's two service tiers, evaluated on the measured curve."""
+    knee = data.saturation_point()
+    lightest, heaviest = data.points[0], data.points[-1]
+    return [
+        common.Claim(
+            "fig2.good-tier",
+            "§3.1: below saturation Paxos offers low, stable latency (the good tier)",
+            f"{lightest.latency_ms:.2f} ms at {lightest.clients} clients, "
+            f"{knee.latency_ms:.2f} ms at the knee",
+            lightest.latency_ms < 1.5 and lightest.latency_ms <= knee.latency_ms * 1.5,
+        ),
+        common.Claim(
+            "fig2.bad-tier",
+            "§3.1: past saturation latency escalates with offered load (the bad tier)",
+            f"{heaviest.latency_ms:.2f} ms at {heaviest.clients} clients = "
+            f"{heaviest.latency_ms / knee.latency_ms:.1f}x the knee",
+            heaviest.latency_ms > 3.0 * knee.latency_ms,
+        ),
+        common.Claim(
+            "fig2.throughput-saturates",
+            "§3.1: past the knee additional load buys no throughput",
+            f"{heaviest.throughput_kops:.1f}k req/s at max load vs "
+            f"{knee.throughput_kops:.1f}k at the knee",
+            heaviest.throughput <= knee.throughput * 1.05,
+        ),
+    ]

@@ -130,3 +130,29 @@ def render(data: Fig3Data) -> str:
         f"after recovery: {data.post_crash_reject_rate:.0f}/s"
         f"\n{safety}"
     )
+
+
+def headlines(data: Fig3Data) -> dict[str, float]:
+    """Headline metrics gated against ``BENCH_fig3.json``."""
+    return {
+        "reject_downtime_s": data.reject_downtime,
+        "pre_crash_reject_rate": data.pre_crash_reject_rate,
+        "post_crash_reject_rate": data.post_crash_reject_rate,
+    }
+
+
+def claims(data: Fig3Data) -> list[common.Claim]:
+    """Section 3.3: leader-based rejection dies with the leader."""
+    return [
+        common.Claim(
+            "fig3.reject-outage",
+            "§3.3: after a leader crash Paxos_LBR sends no rejections until the view "
+            "change completes and clients fail over (several seconds)",
+            f"longest rejection gap {data.reject_downtime:.2f} s; "
+            f"{data.pre_crash_reject_rate:.0f} rejects/s before the crash, "
+            f"{data.post_crash_reject_rate:.0f}/s after recovery",
+            data.pre_crash_reject_rate > 100
+            and data.reject_downtime > 1.0
+            and data.post_crash_reject_rate > 100,
+        )
+    ]

@@ -64,3 +64,49 @@ def render(data: Fig7Data) -> str:
         common.REJECT_HEADERS,
         common.point_rows(data.points, with_rejects=True),
     )
+
+
+def headlines(data: Fig7Data) -> dict[str, float]:
+    """Headline metrics gated against ``BENCH_fig7.json``."""
+    heaviest = data.points[-1]
+    return {
+        "max_load.throughput": heaviest.throughput,
+        "max_load.reject_share": heaviest.reject_share,
+        "max_load.reject_latency_ms": heaviest.reject_latency_ms,
+    }
+
+
+def claims(data: Fig7Data) -> list[common.Claim]:
+    """Section 7.3's reject behaviour, evaluated on the measured sweep."""
+    rejecting = [point for point in data.points if point.reject_throughput > 0]
+    reject_latencies = [point.reject_latency_ms for point in rejecting]
+    heavy, moderate = data.point_at(8.0), data.point_at(2.0)
+    return [
+        common.Claim(
+            "fig7.reject-latency-stable",
+            "§7.3: reject latency is stable across overload levels and in the same "
+            "range as a timely reply, even at 8x",
+            "reject latency "
+            + ", ".join(
+                f"{p.reject_latency_ms:.2f} ms at {p.load_factor:.0f}x" for p in rejecting
+            ),
+            bool(rejecting)
+            and max(reject_latencies) < 2.5 * min(reject_latencies)
+            # The optimistic 5 ms grace skews the mean upward.
+            and all(p.reject_latency_ms < 5.0 * p.latency_ms for p in rejecting),
+        ),
+        common.Claim(
+            "fig7.reject-share-small",
+            "§7.3: rejects stay a small share of operations (<3% in moderate "
+            "overload, about 10% at 8x) because rejected clients back off",
+            f"{100 * moderate.reject_share:.1f}% at 2x, "
+            f"{100 * heavy.reject_share:.1f}% at 8x",
+            0.02 < heavy.reject_share < 0.25 and moderate.reject_share < 0.05,
+        ),
+        common.Claim(
+            "fig7.reply-latency-plateau",
+            "§7.3: reply latency stays on the plateau at every overload level",
+            f"max reply latency {max(p.latency_ms for p in data.points):.2f} ms",
+            all(point.latency_ms < 2.0 for point in data.points),
+        ),
+    ]

@@ -102,3 +102,60 @@ def render(data: Fig8Data) -> str:
             f"{data.plateau_latency(threshold):5.2f} ms"
         )
     return table + "\n" + "\n".join(summary)
+
+
+def headlines(data: Fig8Data) -> dict[str, float]:
+    """Headline metrics gated against ``BENCH_fig8.json``."""
+    metrics: dict[str, float] = {}
+    for threshold in data.curves:
+        metrics[f"rt{threshold}.max_throughput"] = data.max_throughput(threshold)
+        metrics[f"rt{threshold}.plateau_latency_ms"] = data.plateau_latency(threshold)
+    return metrics
+
+
+def claims(data: Fig8Data) -> list[common.Claim]:
+    """Section 7.5's threshold trade-off, evaluated on the measured curves."""
+    low, high = min(data.curves), max(data.curves)
+    ratio = data.max_throughput(low) / data.max_throughput(high)
+    rejecting = {
+        rt: [point for point in points if point.reject_throughput > 0]
+        for rt, points in data.curves.items()
+    }
+    # Two points with rejection active make a plateau.
+    plateaus = {rt: points for rt, points in rejecting.items() if len(points) >= 2}
+    lightest = [points[0].latency_ms for points in data.curves.values()]
+    return [
+        common.Claim(
+            "fig8.tradeoff",
+            "§7.5: a higher reject threshold buys throughput at a slightly higher "
+            "latency plateau",
+            "; ".join(
+                f"RT={rt} {data.max_throughput(rt) / 1e3:.1f}k req/s @ "
+                f"{data.plateau_latency(rt):.2f} ms"
+                for rt in (low, high)
+            ),
+            data.max_throughput(high) > data.max_throughput(low)
+            and data.plateau_latency(high) > data.plateau_latency(low),
+        ),
+        common.Claim(
+            "fig8.low-threshold-fraction",
+            "§7.5: RT=20 restricts throughput to roughly 2/3 of the maximum",
+            f"RT={low} reaches {100 * ratio:.0f}% of RT={high}'s peak",
+            0.4 < ratio < 0.95,
+        ),
+        common.Claim(
+            "fig8.all-plateau",
+            "§7.5: every threshold plateaus rather than exploding",
+            "; ".join(
+                f"RT={rt} {points[0].latency_ms:.2f} -> {points[-1].latency_ms:.2f} ms"
+                for rt, points in plateaus.items()
+            ),
+            all(p[-1].latency_ms < 1.6 * p[0].latency_ms for p in plateaus.values()),
+        ),
+        common.Claim(
+            "fig8.identical-below-threshold",
+            "§7.5: below the threshold all configurations perform identically",
+            f"lightest-load latency {min(lightest):.3f}-{max(lightest):.3f} ms",
+            max(lightest) < 1.1 * min(lightest),
+        ),
+    ]

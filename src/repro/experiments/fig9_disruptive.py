@@ -118,3 +118,59 @@ def render(data: Fig9Data) -> str:
         f"at {final.latency_ms:.2f} ms"
     )
     return part_a + "\n\n" + part_b + summary
+
+
+def headlines(data: Fig9Data) -> dict[str, float]:
+    """Headline metrics gated against ``BENCH_fig9.json``."""
+    final = data.extreme_final()
+    peak = data.extreme_peak_throughput()
+    return {
+        "extreme.peak_throughput": peak,
+        "extreme.final_fraction_of_peak": final.throughput / peak if peak else 0.0,
+        "extreme.final_latency_ms": final.latency_ms,
+        "misconfig.max_load_latency_ms": data.misconfigured[-1].latency_ms,
+    }
+
+
+def claims(data: Fig9Data) -> list[common.Claim]:
+    """Section 7.6's disruptive conditions, evaluated on both panels."""
+    base, heavy = data.misconfigured[0], data.misconfigured[-1]
+    worst = max(point.latency_ms for point in data.misconfigured)
+    throughputs = [point.throughput for point in data.misconfigured]
+    final, peak = data.extreme_final(), data.extreme_peak_throughput()
+    extreme_worst = max(point.latency_ms for point in data.extreme)
+    return [
+        common.Claim(
+            "fig9.a-misconfig-costs-latency",
+            "§7.6: with RT=100 latency climbs past the healthy plateau before "
+            "rejection slows the growth",
+            f"{base.latency_ms:.2f} ms at {base.load_factor:.0f}x -> worst {worst:.2f} ms",
+            worst > 1.3 * base.latency_ms,
+            note="the paper holds latency near 2 ms between 4x and 6x; here the "
+            "leader's CPU queue keeps it growing with load, without collapse "
+            "(EXPERIMENTS.md, Figure 9a)",
+        ),
+        common.Claim(
+            "fig9.a-no-collapse",
+            "§7.6: no Paxos-style collapse — the misconfigured system keeps serving "
+            "at its peak rate and rejection does activate",
+            f"throughput {min(throughputs) / 1e3:.1f}k-{max(throughputs) / 1e3:.1f}k "
+            f"req/s, {heavy.reject_throughput:.0f} rejects/s at {heavy.load_factor:.0f}x",
+            min(throughputs) > 0.8 * max(throughputs) and heavy.reject_throughput > 0,
+        ),
+        common.Claim(
+            "fig9.b-graceful-degradation",
+            "§7.6: under extreme load throughput degrades gracefully (about 55% of "
+            "peak at 14x): most clients are rejected quickly and back off",
+            f"{100 * final.throughput / peak:.0f}% of peak at "
+            f"{final.load_factor:.0f}x, {100 * final.reject_share:.1f}% rejected",
+            final.throughput > 0.4 * peak and final.reject_share > 0.05,
+        ),
+        common.Claim(
+            "fig9.b-latency-stays-low",
+            "§7.6: latency stays low up to 14x the baseline load",
+            f"{final.latency_ms:.2f} ms at {final.load_factor:.0f}x, "
+            f"worst {extreme_worst:.2f} ms",
+            final.latency_ms < 2.0 and extreme_worst < 2.0,
+        ),
+    ]

@@ -8,6 +8,13 @@ Every experiment module exposes the same interface:
 * ``plan_runs(...)`` (or ``plan_cells(...)`` for Table 1) — the
   independent job specs behind ``run``, used by the campaign planner
   (``repro.campaign``) to fan work out without executing anything.
+* ``headlines(data)`` — the handful of numbers the paper's prose quotes,
+  gated against the committed ``BENCH_<id>.json`` baseline.
+* ``claims(data)`` — the paper's qualitative claims about this figure
+  (:class:`~repro.experiments.common.Claim`), each evaluated on the
+  measured data.  Both are pure functions of ``data``: ``campaign``
+  calls them on what it has already aggregated, so the module is the
+  one place that says what a figure shows and whether it still does.
 
 ``runs`` and ``duration`` are explicit arguments (no process-global
 state): the ``REPRO_RUNS``/``REPRO_DURATION`` environment variables act
@@ -21,6 +28,7 @@ from types import ModuleType
 from typing import Optional
 
 from repro.experiments import (
+    ablations,
     fig2_existing_protocols,
     fig3_lbr_crash,
     fig6_comparison,
@@ -44,6 +52,7 @@ EXPERIMENTS: dict[str, ModuleType] = {
     "fig10": fig10_replica_crash,
     "figR": figR_retry_storm,
     "figM": figM_million_users,
+    "abl": ablations,
 }
 
 

@@ -115,7 +115,7 @@ class TestEndToEnd:
                 overrides={"reject_threshold": 100},
             )
         )
-        assert adaptive.latency.mean < 0.6 * static.latency.mean
-        assert adaptive.latency.mean < 2.5e-3
+        assert adaptive.latency.mean < 0.5 * static.latency.mean
+        assert adaptive.latency.mean < 2.0e-3
         # Throughput stays in the same regime (no collapse from shedding).
         assert adaptive.throughput > 0.7 * static.throughput

@@ -1,7 +1,7 @@
 """Calibration: the simulated cluster reproduces the paper's regime.
 
 These are the shape claims of the evaluation at reduced scale; the
-benchmark suite re-checks them at full scale.  The default profile is
+campaign's claims gate re-checks them at figure scale.  The default profile is
 tuned so the 3-replica cluster saturates in the tens of thousands of
 requests per second around a millisecond (Section 7.1/7.2).
 """

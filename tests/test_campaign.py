@@ -8,7 +8,9 @@ The acceptance properties from the campaign design:
 * the planner covers *every* simulation an experiment's ``run()``
   executes, for every registered experiment (no plan drift);
 * the baseline gate passes on freshly written baselines and fails
-  (non-zero exit) once a metric is perturbed beyond its tolerance band.
+  (non-zero exit) once a metric is perturbed beyond its tolerance band;
+* a paper claim that does not hold fails ``--check`` and blocks
+  ``--update-baselines``, and is harmless without either.
 """
 
 import json
@@ -24,7 +26,6 @@ from repro.campaign import (
     UnplannableSpec,
     check_baselines,
     execute_jobs,
-    extract_headlines,
     job_key,
     job_profile,
     payload_to_spec,
@@ -39,7 +40,7 @@ from repro.campaign import (
 from repro.campaign.baseline import baseline_path
 from repro.campaign.engine import CampaignExecutor
 from repro.campaign.plan import KIND_CELL, KIND_SIM, sim_job
-from repro.campaign.report import render_slowest
+from repro.campaign.report import render_slowest, render_summary
 from repro.cluster.faults import FaultSchedule
 from repro.cluster.profile import ClusterProfile
 from repro.cluster.runner import RunSpec, run_experiment
@@ -336,7 +337,7 @@ class TestCampaignEndToEnd:
 
         baseline_dir = tmp_path / "baselines"
         argv = [
-            "campaign", "--experiments", "fig2", "--quick", "--runs", "1",
+            "campaign", "--experiments", "fig7", "--quick", "--runs", "1",
             "--duration", "0.25", "--jobs", "1",
             "--cache-dir", str(shared_cache_dir),
             "--baseline-dir", str(baseline_dir),
@@ -345,15 +346,60 @@ class TestCampaignEndToEnd:
         capsys.readouterr()
         assert main(argv + ["--check"]) == 0
         err = capsys.readouterr().err
-        assert "=> PASS" in err
+        assert "=> PASS" in err and "claims: 3/3 hold" in err
 
-        path = baseline_path(baseline_dir, "fig2")
+        path = baseline_path(baseline_dir, "fig7")
         document = json.loads(path.read_text())
-        document["metrics"]["knee.throughput"] *= 1.5
+        document["metrics"]["max_load.throughput"] *= 1.5
         path.write_text(json.dumps(document))
         assert main(argv + ["--check"]) == 1
         err = capsys.readouterr().err
         assert "regressed" in err and "=> FAIL" in err
+
+    def test_failing_claim_gates_check_and_update(
+        self, shared_cache_dir, tmp_path, monkeypatch, capsys
+    ):
+        """A claim that does not hold: harmless on a plain run, exit 1
+        under --check (named with the paper's sentence), and
+        --update-baselines refuses to write anything."""
+        from repro.cli import main
+        from repro.experiments import fig7_reject_behavior as fig7
+
+        sentence = "§7.3: reply latency stays on the plateau"
+        broken = common.Claim("fig7.reply-latency-plateau", sentence, "9.99 ms", False)
+        monkeypatch.setattr(fig7, "claims", lambda data: [broken])
+        baseline_dir = tmp_path / "baselines"
+        options = dict(
+            experiments=["fig7"], jobs=1, cache_dir=shared_cache_dir,
+            baseline_dir=baseline_dir, **self.SETTINGS,
+        )
+        plain = run_campaign(CampaignOptions(**options))
+        assert plain.failed_claims == [broken] and plain.exit_code == 0
+
+        blessed = run_campaign(CampaignOptions(update_baselines=True, **options))
+        assert blessed.exit_code == 1 and blessed.baseline_paths == []
+        assert not baseline_dir.exists()
+        assert "baselines   : NOT written" in render_summary(blessed)
+
+        # With healthy headline baselines the claim alone fails --check.
+        write_baseline(
+            baseline_dir, "fig7", plain.headlines["fig7"], plain.options.settings()
+        )
+        argv = [
+            "campaign", "--experiments", "fig7", "--quick", "--runs", "1",
+            "--duration", "0.25", "--jobs", "1", "--report", str(tmp_path / "r.json"),
+            "--cache-dir", str(shared_cache_dir), "--baseline-dir", str(baseline_dir),
+        ]
+        assert main(argv + ["--check"]) == 1
+        err = capsys.readouterr().err
+        assert "=> PASS" in err and "FAILS" in err and sentence in err
+        assert "claims: 0/1 hold; FAILS: fig7.reply-latency-plateau" in err
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["ok"] is False
+        assert report["claims"] == [
+            {"id": broken.id, "paper": sentence, "measured": "9.99 ms",
+             "holds": False, "note": ""}
+        ]
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -403,6 +449,15 @@ class TestCampaignEndToEnd:
             monkeypatch.setenv("REPRO_SIM_CORE", value)
             assert traced() == baseline
 
+        # The benchmark suite's two variables went with it: no quick
+        # mode and no cache wrapper can be switched on from outside.
+        monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
+        monkeypatch.setenv("REPRO_BENCH_CACHE", "1")
+        assert traced() == baseline
+        assert common._executor is None
+        planned = plan_experiment("fig2", runs=1)
+        assert len(planned) == len(EXPERIMENTS["fig2"].FULL_CLIENTS)
+
 
 class TestBaselines:
     SETTINGS = dict(quick=True, runs=1, duration=0.5, seed0=0)
@@ -448,11 +503,8 @@ class TestBaselines:
         report = check_baselines(tmp_path, {"fig2": {"m": 140.0}}, self.SETTINGS)
         assert report.ok
 
-    def test_extract_headlines_unknown_experiment(self):
-        assert extract_headlines("not-an-experiment", object()) == {}
-
-    def test_extract_headlines_fig2(self):
-        from repro.experiments.fig2_existing_protocols import Fig2Data
+    def test_module_headlines_fig2(self):
+        from repro.experiments.fig2_existing_protocols import Fig2Data, headlines
 
         point = common.Point(
             system="paxos", clients=50, load_factor=1.0, throughput=50_000.0,
@@ -460,9 +512,9 @@ class TestBaselines:
             reject_throughput=0.0, reject_latency_ms=0.0,
             reject_latency_std_ms=0.0, timeouts=0, runs=1,
         )
-        headlines = extract_headlines("fig2", Fig2Data([point]))
-        assert headlines["knee.throughput"] == 50_000.0
-        assert set(headlines) == {
+        metrics = headlines(Fig2Data([point]))
+        assert metrics["knee.throughput"] == 50_000.0
+        assert set(metrics) == {
             "knee.throughput", "knee.latency_ms", "max_load.latency_ms",
         }
 

@@ -25,6 +25,23 @@ class TestJainFairness:
     def test_more_even_is_fairer(self):
         assert jain_fairness([5.0, 5.0, 6.0]) > jain_fairness([1.0, 5.0, 10.0])
 
+    def test_aqm_rotation_shares_an_overloaded_system_evenly(self):
+        """Section 5.1: "all clients having a similar share of accepted
+        and rejected requests over the runtime".  100 clients against
+        RT=50 form two priority groups; with the time slice shortened
+        the 1 s run covers two full rotations.  (With the paper's 2 s
+        slice it covers none and the index is ~0.57.)"""
+        from repro.cluster.builder import build_cluster
+
+        cluster = build_cluster(
+            "idem", 100, seed=5, stop_time=1.0, overrides={"aqm_time_slice": 0.25}
+        )
+        cluster.run_until(1.0)
+        successes = [client.successes for client in cluster.clients]
+        assert sum(client.rejections for client in cluster.clients) > 0
+        assert min(successes) > 0
+        assert jain_fairness([float(count) for count in successes]) >= 0.9
+
 
 class TestCliRun:
     def test_running_a_single_experiment_prints_its_report(self, capsys, monkeypatch):

@@ -76,6 +76,8 @@ class TestFastMode:
         assert sum(r.stats["rejected"] for r in cluster.replicas) > 0
         assert sum(c.rejections for c in cluster.clients) > 0
         assert all(c.successes > 0 for c in cluster.clients)
+        # The latency plateau survives the ordering change.
+        assert cluster.metrics.latency_summary().mean < 2.0e-3
 
     def test_throughput_comparable_to_single_leader(self):
         multi = run_cluster("idem-multileader", clients=10, duration=0.6)
@@ -114,6 +116,24 @@ class TestCrashFallback:
         # Clients 1, 4, 7 were coordinated by the dead replica.
         for cid in (1, 4, 7):
             assert cluster.clients[cid].successes > 0
+
+    def test_rejection_continues_through_a_crash(self):
+        """Collaborative rejection needs no leader, so an overloaded
+        group keeps rejecting while it falls back to single-leader mode."""
+        cluster = build_cluster(
+            "idem-multileader",
+            30,
+            seed=1,
+            profile=small_profile(),
+            overrides={"view_change_timeout": 0.4, "reject_threshold": 10},
+            stop_time=2.0,
+        )
+        FaultSchedule().crash_replica(0.5, 1).install(cluster)
+        cluster.run_until(2.0)
+        metrics = cluster.metrics
+        assert metrics.reject_gaps.longest_gap_overlapping(0.5, until=2.0) < 0.5
+        pre = metrics.reply_counter.rate_between(0.1, 0.5)
+        assert metrics.reply_counter.rate_between(1.25, 2.0) > 0.5 * pre
 
     def test_fast_mode_is_not_reentered(self):
         cluster = self.crash_run(2)

@@ -319,11 +319,10 @@ def test_closed_loop_equivalence_gate():
 
 class TestFigM:
     def test_registered(self):
-        from repro.campaign.baseline import HEADLINE_EXTRACTORS
         from repro.experiments.registry import EXPERIMENTS
 
         assert "figM" in EXPERIMENTS
-        assert "figM" in HEADLINE_EXTRACTORS
+        assert callable(EXPERIMENTS["figM"].headlines)
 
     def test_plan_runs(self):
         from repro.experiments import figM_million_users as figM

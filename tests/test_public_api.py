@@ -32,7 +32,9 @@ def test_second_core_and_sharding_are_not_exported():
         "repro.sim": "ArrayEvent ArrayEventLoop CORES make_loop use_core "
         "set_default_core get_default_core TimeSeries",
         "repro.campaign": "render_shards run_sharded shard_campaign_jobs "
-        "merge_shard_groups SHARD_SEED_STRIDE",
+        "merge_shard_groups SHARD_SEED_STRIDE CachingExecutor extract_headlines "
+        "HEADLINE_EXTRACTORS",
+        "repro.campaign.baseline": "extract_headlines HEADLINE_EXTRACTORS",
         "repro.net": "MessageTracer TraceFilter TraceRecord",
         "repro.analysis": "LintCache",
         "repro.obs": "resilience_summary",
