@@ -25,21 +25,23 @@ integration, built in the style of Mencius (Mao et al., OSDI '08):
   mode is not re-entered).  This trades Mencius' revocation machinery
   for the already-verified view-change path — a deliberate
   simplification, documented here.
+
+In code: five hook overrides plus SKIP.  The batching loop, REQUIRE
+routing and reply path are `IdemReplica`'s and `BaseReplica`'s own;
+in fast mode this class answers their questions differently —
+``_orderer_of`` and ``_answers`` (the client's coordinator),
+``_may_propose`` (everyone), ``_claim_slot`` (my next owned slot),
+``_proposer_of`` (the slot's owner) — and adds what is genuinely
+Mencius: SKIP/SKIPACK and the suspect-skipping fallback target.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Optional
 
 from repro.core.replica import IdemReplica
 from repro.net.addresses import Address
-from repro.protocols.messages import (
-    Propose,
-    Rid,
-    RequireBatch,
-    Skip,
-    SkipAck,
-)
+from repro.protocols.messages import Propose, Rid, Skip, SkipAck
 
 # Upper bound on slots released by a single SKIP message.
 _MAX_SKIP_RANGE = 4096
@@ -78,89 +80,42 @@ class MultiLeaderIdemReplica(IdemReplica):
             return self.owner_of(sqn)
         return self.leader_of(view)
 
-    def _advance_my_slot(self, past: int) -> None:
-        """Move our next owned slot to the first one >= ``past``."""
-        if self._my_next_slot >= past:
-            return
-        remainder = (past - 1) % self.config.n
-        delta = (self.index - remainder) % self.config.n
-        self._my_next_slot = past + delta
-
     # ------------------------------------------------------------------
-    # REQUIRE routing: to the request's coordinator
+    # The IDEM hooks, answered per slot and per client in fast mode
     # ------------------------------------------------------------------
 
-    def _route_require(self, rid: Rid) -> None:
+    def _orderer_of(self, rid: Rid) -> Optional[int]:
+        if self.fast_mode:
+            return self.coordinator_of(rid)
+        return super()._orderer_of(rid)
+
+    def _answers(self, rid: Rid) -> bool:
+        # View 0 keeps its coordinators even while a view change is
+        # being voted on: they ordered the request, they answer it.
+        if self.view == 0:
+            return self.coordinator_of(rid) == self.index
+        return super()._answers(rid)
+
+    def _may_propose(self) -> bool:
+        return self.fast_mode or super()._may_propose()
+
+    def _claim_slot(self) -> int:
         if not self.fast_mode:
-            super()._route_require(rid)
-            return
-        if self.coordinator_of(rid) == self.index:
-            self._note_require(rid, self.index)
-        else:
-            self._require_outbox.append(rid)
-            if len(self._require_outbox) >= self.config.require_batch_max:
-                self._require_timer.cancel()
-                self._flush_requires()
-            elif not self._require_timer.running:
-                self._require_timer.start(self.config.require_flush_delay)
-
-    def _flush_requires(self) -> None:
-        if not self.fast_mode:
-            super()._flush_requires()
-            return
-        if self.halted or not self._require_outbox:
-            return
-        # Split the outbox by coordinator and ship one batch to each.
-        by_coordinator: dict[int, list[Rid]] = {}
-        for rid in self._require_outbox:
-            by_coordinator.setdefault(self.coordinator_of(rid), []).append(rid)
-        self._require_outbox.clear()
-        from repro.net.addresses import replica_address
-
-        for coordinator, rids in by_coordinator.items():
-            if coordinator == self.index:
-                for rid in rids:
-                    self._note_require(rid, self.index)
-            else:
-                self.send(replica_address(coordinator), RequireBatch(tuple(rids)))
-
-    def _on_require_batch(self, src: Address, message: RequireBatch) -> None:
-        if not self.fast_mode:
-            super()._on_require_batch(src, message)
-            return
-        for rid in message.rids:
-            if self.coordinator_of(rid) == self.index:
-                self._note_require(rid, src.index)
-
-    # ------------------------------------------------------------------
-    # Proposing on our own slots + skips
-    # ------------------------------------------------------------------
+            return super()._claim_slot()
+        sqn = self._my_next_slot
+        self._my_next_slot += self.config.n
+        if sqn >= self.next_sqn:
+            self.next_sqn = sqn + 1
+        return sqn
 
     def _flush_proposals(self) -> None:
-        if not self.fast_mode:
-            super()._flush_proposals()
-            return
-        if self.halted:
-            return
-        config = self.config
-        hint = self.acceptance.threshold_hint()
-        while self._propose_queue and self._window_has_room():
-            batch = tuple(self._propose_queue[: config.batch_max])
-            del self._propose_queue[: len(batch)]
-            sqn = self._my_next_slot
-            self._my_next_slot += config.n
-            for rid in batch:
-                self.proposed_rids[rid] = sqn
-            self._open_instance(sqn, 0, batch)
-            self.multicast_peers(Propose(0, sqn, batch, hint))
-            self.stats["proposals"] += 1
-            if sqn >= self.next_sqn:
-                self.next_sqn = sqn + 1
-        if self._propose_queue and not self._batch_timer.running:
-            self._batch_timer.start(config.batch_delay)
-        if not self._progress_timer.running:
-            self._progress_timer.start()
-        self._try_execute()
+        super()._flush_proposals()
+        if self.fast_mode:
+            self._try_execute()
+
+    # ------------------------------------------------------------------
+    # SKIP: idle owners release their slots
+    # ------------------------------------------------------------------
 
     def _on_propose(self, src: Address, message: Propose) -> None:
         if message.view == 0 and src.index != self.owner_of(message.sqn):
@@ -175,9 +130,11 @@ class MultiLeaderIdemReplica(IdemReplica):
             return  # our own proposals will fill those slots
         if self._my_next_slot >= frontier:
             return
+        n = self.config.n
         start = self._my_next_slot
-        end = min(frontier, start + _MAX_SKIP_RANGE * self.config.n)
-        self._advance_my_slot(end)
+        end = min(frontier, start + _MAX_SKIP_RANGE * n)
+        # Our next slot becomes the first one we own at or above ``end``.
+        self._my_next_slot = end + (self.index - (end - 1)) % n
         self.stats["skips"] += 1
         self._install_skips(self.index, start, end)
         self.multicast_peers(Skip(0, start, end))
@@ -228,7 +185,7 @@ class MultiLeaderIdemReplica(IdemReplica):
         missing = self.exec_sqn + 1
         instance = self.instances.get(missing)
         if instance is None or not instance.committed(self.config.quorum):
-            self._probe_gap()
+            self._maybe_recover_proposal(missing)
             suspect = self.owner_of(missing)
         else:
             suspect = None
@@ -236,23 +193,3 @@ class MultiLeaderIdemReplica(IdemReplica):
         if suspect is not None and self.leader_of(target) == suspect:
             target = suspect + 1  # leader_of(suspect + 1) != suspect for n >= 2
         self._start_view_change(target)
-
-    # ------------------------------------------------------------------
-    # Replies: the coordinator answers its clients (fast mode)
-    # ------------------------------------------------------------------
-
-    def _on_executed(self, rid: Rid, request, result: Any) -> None:
-        entry = self.active.pop(rid, None)
-        if entry is not None:
-            self.acceptance.observe_completion(self.loop.now - entry.accept_time)
-        # Same execute-path sweep as IdemReplica._on_executed: free the
-        # client's dedup-dead slots now, not at its next request.
-        self._release_dedup_dead(rid[0])
-        if self.view == 0:
-            responsible = self.coordinator_of(rid) == self.index
-        else:
-            responsible = self.is_leader
-        if responsible:
-            self._reply_to_client(rid, result)
-        else:
-            self._record_reply(rid, result)

@@ -21,6 +21,13 @@ The forwarding mechanism (Section 5.2) guarantees that a request
 accepted by one correct replica is eventually executed everywhere:
 delayed forwarding after 10 ms, a cache of recently rejected requests,
 and on-demand fetching.
+
+Of :class:`~repro.protocols.base.BaseReplica`'s proposing hooks IDEM
+overrides one, ``_propose_batch`` (ids, ``proposed_rids`` and the
+threshold hint instead of full requests).  It adds two for variants that
+order differently: ``_orderer_of`` (*which replica orders this id right
+now* — REQUIREs are routed, batched and counted by that answer alone)
+and ``_answers`` (*do I send the REPLY*).
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from typing import Any, Optional
 from repro.app.state_machine import StateMachine
 from repro.core.acceptance import make_acceptance_test
 from repro.core.config import IdemConfig
-from repro.net.addresses import Address
+from repro.net.addresses import Address, replica_address
 from repro.net.network import Network
 from repro.protocols.base import BaseReplica, Instance
 from repro.protocols.messages import (
@@ -234,9 +241,16 @@ class IdemReplica(BaseReplica):
             self.request_store.pop(rid, None)
             self._cache_rejected(entry.request)
 
+    def _orderer_of(self, rid: Rid) -> Optional[int]:
+        """Hook: which replica orders ``rid`` right now — the view's leader, or
+        nobody (None) during a view change (ids are re-announced after it)."""
+        if self._vc_target is not None:
+            return None
+        return self.config.leader_of(self.view)
+
     def _route_require(self, rid: Rid) -> None:
-        """Announce an accepted id to whoever orders it (the leader)."""
-        if self.is_leader and self._vc_target is None:
+        """Announce an accepted id to whoever orders it."""
+        if self._orderer_of(rid) == self.index:
             self._note_require(rid, self.index)
         else:
             self._require_outbox.append(rid)
@@ -264,15 +278,23 @@ class IdemReplica(BaseReplica):
             # are re-sent once the new view is installed.
             self._require_timer.start(self.config.require_flush_delay * 4)
             return
-        batch = tuple(self._require_outbox)
+        # One batch per orderer.  None of them is us: ids we order never
+        # enter the outbox, and a view change empties it.
+        by_orderer: dict[int, list[Rid]] = {}
+        orderer_of = self._orderer_of
+        for rid in self._require_outbox:
+            by_orderer.setdefault(orderer_of(rid), []).append(rid)
         self._require_outbox.clear()
-        self.send_to_leader(RequireBatch(batch))
+        for orderer, rids in by_orderer.items():
+            self.send(replica_address(orderer), RequireBatch(tuple(rids)))
 
     def _on_require_batch(self, src: Address, message: RequireBatch) -> None:
-        if not self.is_leader or self._vc_target is not None:
-            return  # the sender will re-require after the view change
+        # Ids we do not order (any more) are dropped: their sender
+        # re-requires after the view change.
+        orderer_of = self._orderer_of
         for rid in message.rids:
-            self._note_require(rid, src.index)
+            if orderer_of(rid) == self.index:
+                self._note_require(rid, src.index)
 
     def _note_require(self, rid: Rid, replica_index: int) -> None:
         cid, onr = rid
@@ -296,28 +318,13 @@ class IdemReplica(BaseReplica):
     # PROPOSE phase (id-based batches)
     # ------------------------------------------------------------------
 
-    def _flush_proposals(self) -> None:
-        if self.halted or self._vc_target is not None or not self.is_leader:
-            return
-        config = self.config
+    def _propose_batch(self, sqn: int, batch: tuple) -> tuple[Instance, Propose]:
+        # The queue holds ids; bodies stay where they were accepted.
+        for rid in batch:
+            self.proposed_rids[rid] = sqn
+        instance = self._open_instance(sqn, self.view, batch)
         hint = self.acceptance.threshold_hint()
-        while self._propose_queue and self._window_has_room():
-            batch = tuple(self._propose_queue[: config.batch_max])
-            del self._propose_queue[: len(batch)]
-            sqn = self.next_sqn
-            self.next_sqn = sqn + 1
-            for rid in batch:
-                self.proposed_rids[rid] = sqn
-            self._open_instance(sqn, self.view, batch)
-            if self.obs is not None:
-                self.obs.on_propose(self.view, sqn, batch)
-            self.multicast_peers(Propose(self.view, sqn, batch, hint))
-            self.stats["proposals"] += 1
-        if self._propose_queue and not self._batch_timer.running:
-            # Window backpressure: retry once the window advances.
-            self._batch_timer.start(config.batch_delay)
-        if not self._progress_timer.running:
-            self._progress_timer.start()
+        return instance, Propose(self.view, sqn, batch, hint)
 
     def _on_propose(self, src: Address, message: Propose) -> None:
         if (
@@ -434,10 +441,14 @@ class IdemReplica(BaseReplica):
         # the client; free them now rather than waiting for its next
         # request (which during think time can be a second away).
         self._release_dedup_dead(rid[0])
-        if self.is_leader:
+        if self._answers(rid):
             self._reply_to_client(rid, result)
         else:
             self._record_reply(rid, result)
+
+    def _answers(self, rid: Rid) -> bool:
+        """Hook: does this replica send the REPLY for ``rid``?"""
+        return self.is_leader
 
     def _has_outstanding_work(self) -> bool:
         return bool(self._unexecuted) or bool(self.active)
@@ -503,12 +514,7 @@ class IdemReplica(BaseReplica):
         """
         self.require_counts.clear()
         self._require_first_seen.clear()
-        self.proposed_rids = {
-            rid: sqn
-            for sqn, instance in self.instances.items()
-            if not instance.executed
-            for rid in instance.rids
-        }
+        self.proposed_rids = self._unexecuted_rids()
         self._require_outbox.clear()
         if self.is_leader:
             for rid in self.active:

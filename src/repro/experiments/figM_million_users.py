@@ -59,6 +59,7 @@ from dataclasses import dataclass
 
 from repro.cluster.runner import RunSpec
 from repro.experiments import common
+from repro.experiments.common import _mean, _spread
 from repro.population.spec import PopulationSpec
 
 #: Offered load (req/s) shared by every arm: ``Z = N / OFFERED``.
@@ -274,17 +275,6 @@ def _tail_growth(data: FigMData, system: str) -> tuple[float, str]:
         f"{largest.p99_ms:.1f} ms @ {largest.clients:,}"
     )
     return growth, ends
-
-
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
-
-
-def _spread(values: list[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    mean = _mean(values)
-    return (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
 
 
 def headlines(data: FigMData) -> dict[str, float]:

@@ -36,7 +36,6 @@ from repro.protocols.messages import (
     ProposalRequest,
     Propose,
     ProposeFull,
-    Reject,
     Reply,
     Request,
     RequireBatch,
@@ -78,6 +77,12 @@ class Instance:
         """Whether enough replicas endorse this instance."""
         return self.decided or len(self.commits) >= quorum
 
+    def requests(self) -> Optional[tuple[Request, ...]]:
+        """The bodies held, in proposal order; None for id-only instances."""
+        if self.bodies is None:
+            return None
+        return tuple(self.bodies[rid] for rid in self.rids if rid in self.bodies)
+
 
 class BaseReplica(NetworkNode):
     """Common machinery of a crash-tolerant leader-based SMR replica.
@@ -86,15 +91,20 @@ class BaseReplica(NetworkNode):
 
     * :meth:`_on_request` — client request admission (acceptance test,
       forwarding to the leader, ...).
-    * :meth:`_flush_proposals` — turn queued work into PROPOSE messages.
+    * the three questions of the one proposing loop
+      (:meth:`_flush_proposals`): :meth:`_may_propose` (default: the
+      leader, outside a view change), :meth:`_claim_slot` (default:
+      ``next_sqn``) and :meth:`_propose_batch` (what goes on the wire —
+      default: full requests, kept in ``instance.bodies``).
+    * :meth:`_on_propose_full` / :meth:`_resend_proposal` — receiving
+      and repeating such a proposal; id-based protocols replace them.
     * :meth:`_resolve_bodies` — locate the request bodies of an instance
       about to execute (return ``None`` if some are missing and recovery
       has been initiated).
     * :meth:`_on_executed` — per-request completion (replies, slots).
-    * :meth:`_make_window_entry` / :meth:`_install_entry` — what
-      view-change messages carry.
     * :meth:`_after_view_installed` — protocol-specific view-change
-      recovery actions.
+      recovery actions (:meth:`_lost_in_view_change` names what the
+      merged window dropped).
     """
 
     def __init__(
@@ -188,6 +198,7 @@ class BaseReplica(NetworkNode):
         self._handlers: dict[type, Callable[[Address, Any], None]] = {
             Request: self._on_request,
             Commit: self._on_commit,
+            ProposeFull: self._on_propose_full,
             Decided: self._on_decided,
             ProposalRequest: self._on_proposal_request,
             ViewChange: self._on_viewchange_msg,
@@ -291,9 +302,7 @@ class BaseReplica(NetworkNode):
         byte_cost = config.cost_per_byte * message.size_bytes()
         if mtype is Request:
             return config.cost_client_request + byte_cost
-        if mtype is RequireBatch:
-            return config.cost_message + config.cost_per_id * len(message.rids)
-        if mtype is Propose:
+        if mtype is RequireBatch or mtype is Propose:
             return config.cost_message + config.cost_per_id * len(message.rids)
         if mtype is ProposeFull:
             return (
@@ -333,13 +342,6 @@ class BaseReplica(NetworkNode):
         for peer in self.peers:
             self.network.send(self.address, peer, message)
 
-    def send_to_leader(self, message: Message) -> None:
-        """Send to the current leader; local delivery if we lead."""
-        if self.is_leader:
-            self._dispatch(self.address, message)
-        else:
-            self.send(self.leader_address, message)
-
     # ------------------------------------------------------------------
     # Client requests (protocol specific)
     # ------------------------------------------------------------------
@@ -374,7 +376,45 @@ class BaseReplica(NetworkNode):
             self._batch_timer.start(self.config.batch_delay)
 
     def _flush_proposals(self) -> None:
-        raise NotImplementedError
+        """Turn queued work into proposals, one ``batch_max`` slice each."""
+        if self.halted or not self._may_propose():
+            return
+        config = self.config
+        while self._propose_queue and self._window_has_room():
+            batch = tuple(self._propose_queue[: config.batch_max])
+            del self._propose_queue[: len(batch)]
+            sqn = self._claim_slot()
+            instance, message = self._propose_batch(sqn, batch)
+            if self.obs is not None:
+                self.obs.on_propose(self.view, sqn, instance.rids)
+            self.multicast_peers(message)
+            self.stats["proposals"] += 1
+        if self._propose_queue and not self._batch_timer.running:
+            # Window backpressure: retry once the window advances.
+            self._batch_timer.start(config.batch_delay)
+        if not self._progress_timer.running:
+            self._progress_timer.start()
+
+    def _may_propose(self) -> bool:
+        """Hook: may this replica open instances right now?"""
+        return self._vc_target is None and self.is_leader
+
+    def _claim_slot(self) -> int:
+        """Hook: take the sequence number of the next proposal."""
+        sqn = self.next_sqn
+        self.next_sqn = sqn + 1
+        return sqn
+
+    def _propose_batch(self, sqn: int, batch: tuple) -> tuple[Instance, Message]:
+        """Hook: open instance ``sqn`` for ``batch``; what goes on the wire.
+
+        Default: the queue holds full requests; they travel inside the
+        proposal and stay in ``instance.bodies``.  IDEM proposes ids.
+        """
+        rids = tuple(request.rid for request in batch)
+        instance = self._open_instance(sqn, self.view, rids)
+        instance.bodies = {request.rid: request for request in batch}
+        return instance, ProposeFull(self.view, sqn, batch)
 
     def _window_has_room(self) -> bool:
         """Backpressure: may the leader open another instance?
@@ -428,6 +468,15 @@ class BaseReplica(NetworkNode):
         if instance.committed(self.config.quorum):
             if self.obs is not None:
                 self.obs.on_quorum(instance)
+            self._try_execute()
+        return instance
+
+    def _on_propose_full(self, src: Address, message: ProposeFull) -> Optional[Instance]:
+        """A full-request proposal; returns the instance if it was adopted."""
+        rids = tuple(request.rid for request in message.requests)
+        instance = self._accept_proposal(message.view, message.sqn, rids)
+        if instance is not None:
+            instance.bodies = {request.rid: request for request in message.requests}
             self._try_execute()
         return instance
 
@@ -485,8 +534,8 @@ class BaseReplica(NetworkNode):
         if instance is None:
             if self.next_sqn > self.exec_sqn + 1:
                 # Later instances exist but the next needed one is
-                # missing: recover it instead of waiting for a timeout.
-                self._probe_gap()
+                # missing: ask the peers instead of waiting for a timeout.
+                self._maybe_recover_proposal(self.exec_sqn + 1)
             return
         if instance.executed:
             return
@@ -599,18 +648,8 @@ class BaseReplica(NetworkNode):
             if key[1] > self.exec_sqn and key[0] >= self.view
         }
 
-    def _probe_gap(self) -> None:
-        """Ask the peers for the next instance we are missing (rate limited)."""
-        sqn = self.exec_sqn + 1
-        now = self.loop.now
-        if now - self._proposal_requested_at.get(sqn, -1.0) < 0.005:
-            return
-        self._proposal_requested_at[sqn] = now
-        for peer in self.peers:
-            self.send(peer, ProposalRequest(sqn))
-
-    def _maybe_recover_proposal(self, sqn: int, src: Address) -> None:
-        """Ask ``src`` to repeat a proposal we apparently missed."""
+    def _maybe_recover_proposal(self, sqn: int, src: Optional[Address] = None) -> None:
+        """Ask ``src`` (default: every peer) to repeat a missed proposal (rate limited)."""
         if sqn <= self.exec_sqn:
             return
         now = self.loop.now
@@ -622,7 +661,8 @@ class BaseReplica(NetworkNode):
                 if s > self.exec_sqn
             }
         self._proposal_requested_at[sqn] = now
-        self.send(src, ProposalRequest(sqn))
+        for dst in self.peers if src is None else (src,):
+            self.send(dst, ProposalRequest(sqn))
 
     def _on_proposal_request(self, src: Address, message: ProposalRequest) -> None:
         instance = self.instances.get(message.sqn)
@@ -645,14 +685,7 @@ class BaseReplica(NetworkNode):
             self._on_checkpoint_request(src, CheckpointRequest(message.sqn - 1))
 
     def _send_decided(self, dst: Address, instance: Instance) -> None:
-        requests: Optional[tuple[Request, ...]] = None
-        if instance.bodies is not None:
-            requests = tuple(
-                instance.bodies[rid]
-                for rid in instance.rids
-                if rid in instance.bodies
-            )
-        self.send(dst, Decided(instance.sqn, instance.rids, requests))
+        self.send(dst, Decided(instance.sqn, instance.rids, instance.requests()))
 
     def _on_decided(self, src: Address, message: Decided) -> None:
         if message.sqn <= self.exec_sqn:
@@ -685,7 +718,9 @@ class BaseReplica(NetworkNode):
 
     def _resend_proposal(self, dst: Address, instance: Instance) -> None:
         """Repeat a proposal towards a replica that missed it."""
-        raise NotImplementedError
+        requests = instance.requests()
+        if requests is not None:
+            self.send(dst, ProposeFull(instance.view, instance.sqn, requests))
 
     def _lag_threshold(self) -> int:
         """How far behind an observed sqn may be before state transfer."""
@@ -698,8 +733,13 @@ class BaseReplica(NetworkNode):
         now = self.loop.now
         if now - self._transfer_requested_at < 0.1:
             return  # a transfer request is already in flight
+        # Ask whoever proposed the observed slot (the leader, or in a
+        # multi-leader fast mode the slot's owner) — never ourselves.
+        proposer = self._proposer_of(self.view, observed_sqn)
+        if proposer == self.index:
+            return
         self._transfer_requested_at = now
-        self.send(self.leader_address, CheckpointRequest(self.exec_sqn))
+        self.send(replica_address(proposer), CheckpointRequest(self.exec_sqn))
 
     def _on_checkpoint_request(self, src: Address, message: CheckpointRequest) -> None:
         if self._checkpoint is None or self._checkpoint[0] <= message.known_sqn:
@@ -877,7 +917,9 @@ class BaseReplica(NetworkNode):
 
     def _make_window_entry(self, instance: Instance) -> WindowEntry:
         """What a VIEWCHANGE message carries for one instance."""
-        return WindowEntry(instance.sqn, instance.view, instance.rids)
+        return WindowEntry(
+            instance.sqn, instance.view, instance.rids, instance.requests()
+        )
 
     def _install_entry(self, entry: WindowEntry, view: int) -> None:
         """Re-open an instance from a view-change entry in ``view``."""
@@ -898,3 +940,21 @@ class BaseReplica(NetworkNode):
 
     def _after_view_installed(self) -> None:
         """Hook: protocol-specific actions once a new view is running."""
+
+    def _unexecuted_rids(self) -> dict[Rid, int]:
+        """Every id the window still has to execute, with its slot."""
+        return {
+            rid: sqn
+            for sqn, instance in self.instances.items()
+            if not instance.executed
+            for rid in instance.rids
+        }
+
+    def _lost_in_view_change(self, held: dict[Rid, Request]) -> list[Request]:
+        """Requests of ``held`` the new view neither re-proposed nor executed."""
+        reproposed = self._unexecuted_rids()
+        return [
+            request
+            for rid, request in held.items()
+            if rid not in reproposed and self.executed_onr.get(rid[0], 0) < rid[1]
+        ]

@@ -7,6 +7,9 @@ consensus round on them, and **every** replica sends a reply, the client
 keeping the first.  This module reproduces that message pattern — the
 triple request dissemination and n-fold replies are what give the
 production library its distinct saturation point in Figure 6.
+Proposing, re-sending and view-change entries are the full-request
+defaults of :class:`~repro.protocols.base.BaseReplica`; the one hook
+overridden on that path is ``_on_propose_full``, which also pools.
 
 The cost multiplier applied by the cluster builder models the heavier
 code path of a general-purpose BFT library running in CFT mode.
@@ -18,7 +21,7 @@ from typing import Any, Optional
 
 from repro.net.addresses import Address
 from repro.protocols.base import BaseReplica, Instance
-from repro.protocols.messages import ProposeFull, Request, Rid, WindowEntry
+from repro.protocols.messages import ProposeFull, Request, Rid
 
 
 class BftSmartReplica(BaseReplica):
@@ -29,7 +32,6 @@ class BftSmartReplica(BaseReplica):
         # The request pool: every replica holds all client requests it
         # has seen until they are executed.
         self.pool: dict[Rid, Request] = {}
-        self._handlers[ProposeFull] = self._on_propose_full
 
     def probe_state(self) -> dict[str, float]:
         state = super().probe_state()
@@ -56,42 +58,12 @@ class BftSmartReplica(BaseReplica):
         if not self._progress_timer.running:
             self._progress_timer.start()
 
-    def _flush_proposals(self) -> None:
-        if self.halted or self._vc_target is not None or not self.is_leader:
-            return
-        config = self.config
-        while self._propose_queue and self._window_has_room():
-            batch = tuple(self._propose_queue[: config.batch_max])
-            del self._propose_queue[: len(batch)]
-            sqn = self.next_sqn
-            self.next_sqn = sqn + 1
-            rids = tuple(request.rid for request in batch)
-            instance = self._open_instance(sqn, self.view, rids)
-            instance.bodies = {request.rid: request for request in batch}
-            if self.obs is not None:
-                self.obs.on_propose(self.view, sqn, rids)
-            self.multicast_peers(ProposeFull(self.view, sqn, batch))
-            self.stats["proposals"] += 1
-        if self._propose_queue and not self._batch_timer.running:
-            self._batch_timer.start(config.batch_delay)
-        if not self._progress_timer.running:
-            self._progress_timer.start()
-
-    def _on_propose_full(self, src: Address, message: ProposeFull) -> None:
-        rids = tuple(request.rid for request in message.requests)
-        instance = self._accept_proposal(message.view, message.sqn, rids)
-        if instance is None:
-            return
-        instance.bodies = {request.rid: request for request in message.requests}
-        for request in message.requests:
-            self.pool.setdefault(request.rid, request)
-        self._try_execute()
-
-    def _resend_proposal(self, dst: Address, instance: Instance) -> None:
-        if instance.bodies is None:
-            return
-        requests = tuple(instance.bodies[rid] for rid in instance.rids)
-        self.send(dst, ProposeFull(instance.view, instance.sqn, requests))
+    def _on_propose_full(self, src: Address, message: ProposeFull) -> Optional[Instance]:
+        instance = super()._on_propose_full(src, message)
+        if instance is not None:
+            for request in message.requests:
+                self.pool.setdefault(request.rid, request)
+        return instance
 
     # ------------------------------------------------------------------
     # Execution: every replica replies
@@ -109,23 +81,7 @@ class BftSmartReplica(BaseReplica):
     # View changes
     # ------------------------------------------------------------------
 
-    def _make_window_entry(self, instance: Instance) -> WindowEntry:
-        requests: Optional[tuple[Request, ...]] = None
-        if instance.bodies is not None:
-            requests = tuple(instance.bodies[rid] for rid in instance.rids)
-        return WindowEntry(instance.sqn, instance.view, instance.rids, requests)
-
     def _after_view_installed(self) -> None:
-        if not self.is_leader:
-            return
-        reproposed = {
-            rid
-            for instance in self.instances.values()
-            if not instance.executed
-            for rid in instance.rids
-        }
-        for rid, request in self.pool.items():
-            cid, onr = rid
-            if rid in reproposed or self.executed_onr.get(cid, 0) >= onr:
-                continue
-            self._queue_proposal(request)
+        if self.is_leader:
+            for request in self._lost_in_view_change(self.pool):
+                self._queue_proposal(request)

@@ -5,7 +5,10 @@ proposals, replicas commit, and the leader answers.  A follower that
 receives a request (after client failover) relays it to the leader.
 Sharing :class:`~repro.protocols.base.BaseReplica` with IDEM gives the
 paper's property that the two systems differ only in the protocol, not
-the code base.
+the code base: proposing, re-sending and view-change entries are the
+base's full-request defaults (no ``_may_propose`` / ``_claim_slot`` /
+``_propose_batch`` override); this module adds admission, relaying,
+who replies, and what a new leader proposes again.
 
 With ``leader_rejection`` enabled this becomes Paxos_LBR, the strawman
 of Section 3.3: the leader tail-drops requests beyond its threshold and
@@ -14,19 +17,13 @@ sends REJECTs — which stops working entirely while the leader is down.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.app.state_machine import StateMachine
 from repro.net.addresses import Address
 from repro.net.network import Network
-from repro.protocols.base import BaseReplica, Instance
-from repro.protocols.messages import (
-    ProposeFull,
-    Reject,
-    Request,
-    Rid,
-    WindowEntry,
-)
+from repro.protocols.base import BaseReplica
+from repro.protocols.messages import Reject, Request, Rid
 from repro.protocols.paxos.config import PaxosConfig
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RngRegistry
@@ -50,7 +47,6 @@ class PaxosReplica(BaseReplica):
         self.outstanding: dict[Rid, Request] = {}
         # Follower: requests relayed to the leader, re-relayed on view change.
         self.relayed: dict[Rid, Request] = {}
-        self._handlers[ProposeFull] = self._on_propose_full
 
     def probe_state(self) -> dict[str, float]:
         state = super().probe_state()
@@ -105,45 +101,6 @@ class PaxosReplica(BaseReplica):
             self._progress_timer.start()
 
     # ------------------------------------------------------------------
-    # Proposing full-request batches
-    # ------------------------------------------------------------------
-
-    def _flush_proposals(self) -> None:
-        if self.halted or self._vc_target is not None or not self.is_leader:
-            return
-        config = self.config
-        while self._propose_queue and self._window_has_room():
-            batch = tuple(self._propose_queue[: config.batch_max])
-            del self._propose_queue[: len(batch)]
-            sqn = self.next_sqn
-            self.next_sqn = sqn + 1
-            rids = tuple(request.rid for request in batch)
-            instance = self._open_instance(sqn, self.view, rids)
-            instance.bodies = {request.rid: request for request in batch}
-            if self.obs is not None:
-                self.obs.on_propose(self.view, sqn, rids)
-            self.multicast_peers(ProposeFull(self.view, sqn, batch))
-            self.stats["proposals"] += 1
-        if self._propose_queue and not self._batch_timer.running:
-            self._batch_timer.start(config.batch_delay)
-        if not self._progress_timer.running:
-            self._progress_timer.start()
-
-    def _on_propose_full(self, src: Address, message: ProposeFull) -> None:
-        rids = tuple(request.rid for request in message.requests)
-        instance = self._accept_proposal(message.view, message.sqn, rids)
-        if instance is None:
-            return
-        instance.bodies = {request.rid: request for request in message.requests}
-        self._try_execute()
-
-    def _resend_proposal(self, dst: Address, instance: Instance) -> None:
-        if instance.bodies is None:
-            return
-        requests = tuple(instance.bodies[rid] for rid in instance.rids)
-        self.send(dst, ProposeFull(instance.view, instance.sqn, requests))
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
@@ -159,37 +116,20 @@ class PaxosReplica(BaseReplica):
         return bool(self._unexecuted) or bool(self.relayed) or bool(self.outstanding)
 
     # ------------------------------------------------------------------
-    # View changes carry full requests
+    # View changes
     # ------------------------------------------------------------------
 
-    def _make_window_entry(self, instance: Instance) -> WindowEntry:
-        requests: Optional[tuple[Request, ...]] = None
-        if instance.bodies is not None:
-            requests = tuple(instance.bodies[rid] for rid in instance.rids)
-        return WindowEntry(instance.sqn, instance.view, instance.rids, requests)
-
     def _after_view_installed(self) -> None:
-        reproposed = {
-            rid
-            for instance in self.instances.values()
-            if not instance.executed
-            for rid in instance.rids
-        }
         if self.is_leader:
             # Requests we admitted (or relayed) that did not survive in
             # the merged window must be proposed again.
             self.outstanding.update(self.relayed)
             self.relayed.clear()
-            for rid, request in self.outstanding.items():
-                cid, onr = rid
-                if rid in reproposed or self.executed_onr.get(cid, 0) >= onr:
-                    continue
+            for request in self._lost_in_view_change(self.outstanding):
                 self._queue_proposal(request)
         else:
             self.outstanding.clear()
-            for rid, request in list(self.relayed.items()):
-                cid, onr = rid
-                if rid in reproposed or self.executed_onr.get(cid, 0) >= onr:
-                    self.relayed.pop(rid, None)
-                    continue
+            lost = self._lost_in_view_change(self.relayed)
+            self.relayed = {request.rid: request for request in lost}
+            for request in lost:
                 self.send(self.leader_address, request)

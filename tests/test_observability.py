@@ -211,6 +211,17 @@ class TestLifecycle:
         histogram = reject_reason_histogram(result.obs.tracer)
         assert histogram.get("leader-threshold", 0) > 0
 
+    def test_multileader_proposals_are_traced(self):
+        # Every proposer runs the one BaseReplica loop, so the propose
+        # hook fires for slot owners as it does for a single leader.
+        result = observed_run(system="idem-multileader", seed=1)
+        obs = result.obs
+        assert obs.tracer.by_kind().get(spans.PROPOSE, 0) > 0
+        for index, stats in enumerate(result.replica_stats):
+            assert stats["proposals"] > 0
+            counter = obs.registry.counter("proposals", node=f"replica-{index}")
+            assert counter.value == stats["proposals"]
+
     def test_render_report_mentions_stages_and_reasons(self, traced_result):
         report = render_report(
             traced_result.obs.tracer, traced_result.obs.registry, k=3

@@ -35,7 +35,8 @@ def instance_with_bodies(sqn=1):
 
 def test_idem_entries_carry_ids_only():
     replica = build(IdemReplica, IdemConfig(cpu_jitter_sigma=0.0))
-    instance, _ = instance_with_bodies()
+    # What IDEM's proposing hook opens: ids, bodies stay in the store.
+    instance, _ = replica._propose_batch(1, ((0, 1),))
     entry = replica._make_window_entry(instance)
     assert entry.rids == ((0, 1),)
     assert entry.requests is None
