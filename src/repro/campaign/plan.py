@@ -64,7 +64,11 @@ from repro.workload.ycsb import YcsbProfile
 # counters for population runs.
 # 6 — a since-removed job kind; sim/cell payloads and results did not
 # change when it went, so the number stays and warm caches stay valid.
-CACHE_SCHEMA = 6
+# 7 — population jobs compute different numbers under an unchanged
+# payload: the aggregate node lends cids to pooled real clients (exact
+# timers, per-client leader knowledge) instead of running its own copy
+# of the client state machine.
+CACHE_SCHEMA = 7
 
 KIND_SIM = "sim"
 KIND_CELL = "tab1-cell"

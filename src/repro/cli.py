@@ -7,7 +7,6 @@ Usage::
     repro-experiments campaign --jobs 4     # parallel, cached campaign
     repro-experiments campaign --check      # gate paper claims + BENCH_* baselines
     repro-experiments lint --check          # detlint determinism/purity gate
-    repro-experiments population --validate # aggregate-vs-object equivalence
     repro-experiments --list
 """
 
@@ -44,8 +43,7 @@ def main(argv: list[str] | None = None) -> int:
             "'all', 'campaign' for a parallel cached campaign, 'chaos' for a "
             "randomized fault-injection run, 'trace' for a traced run with "
             "request-lifecycle analysis, 'obs' for a probed run with "
-            "replica-state series and drift detection, 'population' for the "
-            "aggregate-client backend validation harness, or 'lint' for the "
+            "replica-state series and drift detection, or 'lint' for the "
             "detlint determinism/purity static-analysis pass"
         ),
     )
@@ -201,15 +199,6 @@ def main(argv: list[str] | None = None) -> int:
             "reject-retry storm arm (idem/naive-any; scenario-fixed)"
         ),
     )
-    population = parser.add_argument_group("population options")
-    population.add_argument(
-        "--validate",
-        action="store_true",
-        help=(
-            "population only: run the aggregate-vs-object-clients "
-            "equivalence sweep and exit 1 if any row is outside tolerance"
-        ),
-    )
     args = parser.parse_args(argv)
 
     if args.experiment == "chaos":
@@ -220,8 +209,6 @@ def main(argv: list[str] | None = None) -> int:
         return run_obs_command(args)
     if args.experiment == "campaign":
         return run_campaign_command(args)
-    if args.experiment == "population":
-        return run_population_command(args)
 
     if args.list:
         for experiment_id, module in EXPERIMENTS.items():
@@ -345,30 +332,6 @@ def run_campaign_command(args) -> int:
         path = write_report(args.report, result)
         print(f"campaign: report written to {path}", file=sys.stderr)
     return result.exit_code
-
-
-def run_population_command(args) -> int:
-    """Validate the aggregate population backend against object clients.
-
-    Runs the exact-closed-loop equivalence sweep from
-    ``repro.population.validate`` (both backends, same seed, N in the
-    validation sweep) and prints the comparison table.  Exits 1 when
-    any row falls outside the tolerance bands — the CI
-    ``population-validate`` job's gate.  Without ``--validate`` this
-    prints usage guidance and exits 2.
-    """
-    from repro.population.validate import validate_population
-
-    if not args.validate:
-        print(
-            "population: nothing to do; pass --validate to run the "
-            "aggregate-vs-object-clients equivalence sweep",
-            file=sys.stderr,
-        )
-        return 2
-    report = validate_population(seed=args.seed if args.seed else 1)
-    print(report.render())
-    return 0 if report.ok else 1
 
 
 def run_chaos_command(args) -> int:

@@ -48,7 +48,6 @@ from repro.population.aggregate import AggregateClientNode
 from repro.population.spec import PopulationSpec
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RngRegistry
-from repro.workload.open_loop import ArrivalSpec
 from repro.workload.schedule import LoadSchedule
 from repro.workload.ycsb import YcsbWorkload
 
@@ -267,7 +266,6 @@ def build_cluster(
     fallback_factory: Optional[Callable[[int], Callable]] = None,
     start_clients: bool = True,
     population: Optional[PopulationSpec] = None,
-    arrivals: Optional[ArrivalSpec] = None,
 ) -> Cluster:
     """Assemble a ready-to-run cluster of ``system`` with ``clients`` clients.
 
@@ -282,9 +280,9 @@ def build_cluster(
 
     When ``population`` is set the per-object clients are replaced by a
     single :class:`~repro.population.AggregateClientNode` standing in
-    for all ``clients`` virtual clients (see ``docs/WORKLOADS.md``);
-    ``arrivals`` then optionally drives it open-loop (otherwise the
-    node runs the spec's closed-loop / analytic-feedback modes).
+    for all ``clients`` virtual clients, which lends their identities
+    to a small pool of ``client_class`` objects (see
+    ``docs/WORKLOADS.md``).  It needs a positive think time.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; choose from {sorted(SYSTEMS)}")
@@ -327,6 +325,13 @@ def build_cluster(
                 "the aggregate population backend does not support "
                 "per-client fallback procedures"
             )
+        if config.think_time <= 0.0:
+            raise ValueError(
+                "a population needs a positive think time (its arrival rate "
+                f"is thinkers / Z), got {config.think_time}; zero-think "
+                "closed-loop clients are the per-object backend: drop "
+                "population= and run the same clients= directly"
+            )
         node = AggregateClientNode(
             population,
             spec.client_class,
@@ -339,8 +344,6 @@ def build_cluster(
             clients,
             stop_time=stop_time,
             schedule=schedule,
-            arrivals=arrivals,
-            ramp=CLIENT_RAMP,
         )
         # The node is routed, not attached: replies to any fabricated
         # client address land on it.

@@ -43,9 +43,8 @@ class RunSpec:
     # Aggregate client population (repro.population): when set, the
     # ``clients`` count becomes N *virtual* clients folded into one
     # AggregateClientNode.  Composes with ``schedule`` (modulates the
-    # active population) and ``arrivals`` (drives the aggregate
-    # open-loop instead of closed-loop).  When None, nothing changes —
-    # runs are byte-identical to the per-object client path.
+    # active population) but not with ``arrivals``.  When None, nothing
+    # changes — runs are byte-identical to the per-object client path.
     population: Optional[PopulationSpec] = None
     bucket_width: float = 0.25
     keep_metrics: bool = False
@@ -70,6 +69,13 @@ class RunSpec:
                 f"warmup ({self.warmup}) must be shorter than the run "
                 f"duration ({self.duration})"
             )
+        if self.population is not None and self.arrivals is not None:
+            raise ValueError(
+                "population and arrivals are both load generators and cannot "
+                "be combined: for open-loop arrivals over a finite client "
+                "pool drop population= (arrivals= alone runs OpenLoopDriver "
+                "over `clients` per-object clients)"
+            )
 
 
 def run_experiment(spec: RunSpec) -> ExperimentResult:
@@ -85,12 +91,11 @@ def run_experiment(spec: RunSpec) -> ExperimentResult:
         schedule=spec.schedule,
         bucket_width=spec.bucket_width,
         stop_time=spec.duration,
-        start_clients=spec.arrivals is None or spec.population is not None,
+        start_clients=spec.arrivals is None,
         population=spec.population,
-        arrivals=spec.arrivals if spec.population is not None else None,
     )
     driver = None
-    if spec.arrivals is not None and spec.population is None:
+    if spec.arrivals is not None:
         driver = OpenLoopDriver(
             cluster.loop,
             cluster.clients,

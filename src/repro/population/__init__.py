@@ -8,19 +8,21 @@ hundred.  This package collapses N virtual clients into **one**
 closed-loop feedback approximated analytically: the effective open-loop
 rate ``lambda_eff(t) = thinkers(t) / Z`` is recomputed on a periodic
 feedback tick from the think-pool population instead of firing one
-timer per client.  Per-virtual-client at-most-once state is fabricated
-on demand (seeded cid draws, one monotone onr counter), so memory and
-event cost are O(active requests), not O(N) — "1M users" at roughly
-one extra event per request.
+timer per client.  Each arrival lends a fabricated virtual-client
+identity (seeded cid draws, one monotone onr counter) to a pooled
+object of the system's ordinary client class, which handles the
+request with the same code as a per-object client and hands itself
+back when done — so memory and event cost are O(active requests), not
+O(N), and there is one client state machine, not a re-model of it.
 
 :class:`PopulationSpec` is the serialisable knob (rides campaign
-payloads like :class:`~repro.workload.open_loop.ArrivalSpec`);
-:mod:`repro.population.validate` proves the aggregate backend
-reproduces the per-object closed-loop curves at small N before anyone
-trusts it at large N.  See ``docs/WORKLOADS.md``.
+payloads like :class:`~repro.workload.open_loop.ArrivalSpec`).  What
+the think-pool approximation costs against per-object clients with the
+same think time is measured in ``tests/test_population.py`` and
+written down in ``docs/WORKLOADS.md``.
 """
 
-from repro.population.aggregate import AggregateClientNode, dissemination_mode
+from repro.population.aggregate import AggregateClientNode
 from repro.population.spec import (
     POPULATION_PROCESSES,
     REJECT_REENTRY_MODES,
@@ -32,5 +34,4 @@ __all__ = [
     "POPULATION_PROCESSES",
     "REJECT_REENTRY_MODES",
     "PopulationSpec",
-    "dissemination_mode",
 ]

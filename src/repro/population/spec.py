@@ -19,8 +19,8 @@ from typing import Optional
 # two-state Markov chain (normal/burst) for bursty edge populations.
 POPULATION_PROCESSES = ("poisson", "mmpp")
 
-# What a virtual client does after a *rejected* operation is abandoned
-# (analytic mode only).  "backoff" re-engages after the 50-100 ms
+# What a virtual client does after a *rejected* operation is abandoned.
+# "backoff" re-engages after the 50-100 ms
 # rejection backoff, exactly like the per-object benchmark clients
 # (Section 7.1) — under sustained overload at large N this amplifies
 # offered load without bound (every rejected client re-offers ~13x/s
@@ -40,10 +40,10 @@ class PopulationSpec:
         Mean think time Z between a virtual client's operations.  When
         set it overrides ``config.think_time`` for the whole run (the
         retry policies' timeout backoff uses the same value, exactly as
-        it would for object clients).  ``Z == 0`` selects the *exact*
-        closed-loop mode (each completion immediately re-issues);
-        ``Z > 0`` selects the analytic feedback mode where arrivals are
-        Poisson at ``lambda_eff(t) = thinkers(t) / Z``.
+        it would for object clients).  Arrivals are Poisson at
+        ``lambda_eff(t) = thinkers(t) / Z``, so the effective Z must be
+        positive (``build_cluster`` rejects ``Z <= 0``: zero-think
+        closed-loop clients are the per-object backend).
     ``process``
         "poisson" or "mmpp" (two-state Markov-modulated bursts).
     ``burst_multiplier`` / ``dwell_normal`` / ``dwell_burst``
@@ -52,18 +52,16 @@ class PopulationSpec:
         burst states.  Ignored for ``process == "poisson"``.
     ``feedback_interval``
         Cadence of the feedback tick that re-derives ``lambda_eff``
-        from the think pool and expires the lazy timeout/retransmit
-        deadline queues.  Purely a fidelity/cost dial — the tick only
-        touches the aggregate node's own state, never the replicas.
+        from the think pool.  Purely a fidelity/cost dial — the tick
+        only touches the aggregate node's own state, never the replicas
+        or the lent clients (their deadlines are exact timers).
     ``reject_reentry``
-        Post-rejection behaviour in analytic (``Z > 0``) mode:
-        "backoff" re-engages after the 50-100 ms rejection backoff
+        Post-rejection behaviour: "backoff" re-engages after the 50-100 ms rejection backoff
         (faithful to the per-object benchmark clients but death-spirals
         under sustained overload at large N); "think" returns the
         virtual client to the think pool (the fallback response served
         it), so rejection sheds load — the regime proactive rejection
-        is designed for.  Exact closed-loop (``Z == 0``) and open-loop
-        runs ignore this and always use the faithful backoff.
+        is designed for.
     """
 
     think_time: Optional[float] = None

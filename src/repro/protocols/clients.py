@@ -183,9 +183,9 @@ class BaseClient(NetworkNode):
             self._hedges_this_attempt = 0
             self._hedge_timer.start(self.hedge_policy.delay())
 
-    def _schedule_next(self, delay: float) -> None:
+    def _schedule_next(self, delay: float, outcome: str) -> None:
         if self.driver is not None:
-            self.driver.client_finished(self, delay)
+            self.driver.client_finished(self, delay, outcome)
         else:
             self.loop.call_after(delay, self._issue_next)
 
@@ -258,7 +258,7 @@ class BaseClient(NetworkNode):
             self.obs.on_outcome(self.current_rid, "success", latency)
         self.current_rid = None
         self.current_command = None
-        self._schedule_next(self.config.think_time)
+        self._schedule_next(self.config.think_time, "success")
 
     def _finish_rejected(self) -> None:
         """The operation's attempt was rejected: ask the policy."""
@@ -278,7 +278,7 @@ class BaseClient(NetworkNode):
             self.obs.on_outcome(
                 self.current_rid, "rejected", now - self.first_send_time
             )
-        self._abandon_operation(decision)
+        self._abandon_operation(decision, "reject")
 
     def _on_request_timeout(self) -> None:
         self._retransmit_timer.cancel()
@@ -296,7 +296,7 @@ class BaseClient(NetworkNode):
             self.obs.on_outcome(
                 self.current_rid, "timeout", now - self.first_send_time
             )
-        self._abandon_operation(decision)
+        self._abandon_operation(decision, "timeout")
 
     def _begin_retry(self, outcome: str, decision) -> None:
         """Re-issue the same command under a new rid after the backoff."""
@@ -306,7 +306,7 @@ class BaseClient(NetworkNode):
         self.current_rid = None
         self.loop.call_after(decision.delay, self._issue_attempt)
 
-    def _abandon_operation(self, decision) -> None:
+    def _abandon_operation(self, decision, outcome: str) -> None:
         """Terminal abandonment: fallback (while the per-operation state
         is still intact), then clear it and schedule the next command."""
         if decision.reason != "no-retry":
@@ -317,7 +317,7 @@ class BaseClient(NetworkNode):
             self.fallback(self.current_command)
         self.current_rid = None
         self.current_command = None
-        self._schedule_next(decision.delay)
+        self._schedule_next(decision.delay, outcome)
 
 
 class SingleTargetClient(BaseClient):

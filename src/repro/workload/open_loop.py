@@ -161,12 +161,12 @@ class OpenLoopDriver:
 
     # -- client pool -------------------------------------------------------
 
-    def client_finished(self, client, delay: float) -> None:
+    def client_finished(self, client, delay: float, outcome: str) -> None:
         """Called by a client when its operation completes or aborts.
 
         ``delay`` is the client's requested unavailability (e.g. the
         post-rejection backoff); the client only rejoins the idle pool
-        afterwards.
+        afterwards, whatever the ``outcome`` was.
         """
         if delay > 0:
             self.loop.call_after(delay, self._idle.append, client)

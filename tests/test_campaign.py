@@ -431,13 +431,15 @@ class TestCampaignEndToEnd:
             ["fig2", "--scenarios", "x"],
             ["lint", "--changed"],
             ["lint", "--cache-dir", "d"],
+            ["population", "--validate"],
         ):
             with pytest.raises(SystemExit) as raised:
                 main(argv)
             assert raised.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
-        assert main(["perf"]) == 2
-        assert "unknown experiment(s): ['perf']" in capsys.readouterr().err
+        for mode in ("perf", "population"):
+            assert main([mode]) == 2
+            assert f"unknown experiment(s): ['{mode}']" in capsys.readouterr().err
 
         def traced() -> str:
             argv = ["trace", "--clients", "2", "--duration", "0.3"]

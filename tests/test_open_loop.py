@@ -88,7 +88,7 @@ class _StubClient:
 
     def _issue_next(self):
         self.issued += 1
-        self.driver.client_finished(self, 0.0)
+        self.driver.client_finished(self, 0.0, "success")
 
 
 def stub_driver(rate, stop_time=1.0, pool=4, seed=7):

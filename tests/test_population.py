@@ -1,12 +1,13 @@
 """repro.population: the aggregate million-client workload backend.
 
 Covers the :class:`PopulationSpec` contract, the campaign payload
-round-trip, the aggregate node's three operating modes, determinism
+round-trip, the lend/return path that hands virtual-client identities
+to pooled real clients (safety under a leader crash with retries,
+late-message routing, pool size, the shared retry budget), determinism
 (including PYTHONHASHSEED invariance of the fabricated rid/cid
-streams), the events-per-request cost claim, and — most importantly —
-the closed-loop equivalence gate: the aggregate backend must reproduce
-the per-object clients' throughput and latency tail at small N before
-anyone trusts it at N = 1,000,000 (see ``docs/WORKLOADS.md``).
+streams), and the light-load agreement of the think-pool approximation
+with per-object clients that think for the same Z (see
+``docs/WORKLOADS.md``).
 """
 
 from __future__ import annotations
@@ -26,24 +27,24 @@ from repro.campaign.plan import (
     population_to_payload,
     spec_to_payload,
 )
+from repro.cluster.builder import build_cluster
+from repro.cluster.faults import CrashFault, FaultSchedule
 from repro.cluster.runner import RunSpec, run_experiment
+from repro.net.addresses import replica_address
+from repro.obs.spans import CLIENT_SEND
 from repro.population import (
     POPULATION_PROCESSES,
     REJECT_REENTRY_MODES,
     PopulationSpec,
 )
-from repro.population.validate import (
-    P99_TOLERANCE,
-    THROUGHPUT_TOLERANCE,
-    validate_population,
-)
+from repro.protocols.messages import Reject
 from repro.workload.open_loop import ArrivalSpec
 
 
 def population_run(
     system="idem",
     clients=100,
-    think_time=0.0,
+    think_time=0.02,
     duration=0.3,
     warmup=0.1,
     seed=3,
@@ -145,37 +146,7 @@ class TestPayloads:
         assert payload_to_spec(payload).population is None
 
 
-# -- the aggregate node, exact closed loop -----------------------------
-
-
-class TestExactClosedLoop:
-    def test_basic_run_and_stats_shape(self):
-        result = population_run(clients=50)
-        stats = result.client_stats
-        assert result.throughput > 0
-        assert stats["successes"] > 0
-        assert stats["commands"] >= stats["successes"]
-        # Aggregate-only accounting rides the same dict.
-        assert stats["virtual_clients"] == 50
-        assert stats["feedback_ticks"] > 0
-        for key in ("sends", "retries", "hedges", "give_ups", "rejections",
-                    "timeouts", "load_amplification"):
-            assert key in stats
-
-    def test_same_seed_is_deterministic(self):
-        a = population_run(clients=80, seed=11)
-        b = population_run(clients=80, seed=11)
-        assert a.throughput == b.throughput
-        assert a.client_stats == b.client_stats
-        assert a.latency.p99 == b.latency.p99
-
-    def test_different_seeds_differ(self):
-        a = population_run(clients=80, seed=11)
-        b = population_run(clients=80, seed=12)
-        assert a.client_stats != b.client_stats
-
-
-# -- analytic closed loop (Z > 0) --------------------------------------
+# -- the think pool and its arrival process ---------------------------
 
 
 class TestAnalyticMode:
@@ -184,7 +155,13 @@ class TestAnalyticMode:
         stats = result.client_stats
         assert stats["arrivals"] > 0
         assert stats["successes"] > 0
+        assert stats["commands"] >= stats["successes"]
         assert stats["feedback_ticks"] > 0
+        # Aggregate-only accounting rides the per-object counters' dict.
+        assert stats["virtual_clients"] == 200
+        for key in ("sends", "retries", "hedges", "give_ups", "rejections",
+                    "timeouts", "load_amplification"):
+            assert key in stats
         # Offered ~N/Z = 10k/s over the 0.3 s run; the analytic arrival
         # process must be in that regime (the loose band tolerates
         # closed-loop throttling of the think pool).
@@ -214,47 +191,128 @@ class TestAnalyticMode:
         assert result.client_stats["successes"] > 0
 
 
-# -- open loop (ArrivalSpec drives the aggregate) ----------------------
+# -- modes that are the per-object backend under another name ----------
 
 
-class TestOpenLoopMode:
-    def test_arrival_spec_drives_the_population(self):
-        result = population_run(
-            system="paxos",
-            clients=100,
-            think_time=0.0,
-            arrivals=ArrivalSpec(steps=((0.0, 2000.0),)),
-        )
-        stats = result.client_stats
-        assert stats["arrivals"] > 0
-        assert stats["successes"] > 0
-
-    def test_events_per_request_near_the_object_client_floor(self):
-        """The aggregate's cost claim: driving the same open-loop load
-        through the population backend costs at most ~1.2x the simulator
-        events per request of the per-object OpenLoopDriver path."""
-        arrivals = ArrivalSpec(steps=((0.0, 2000.0),))
-        reference = run_experiment(
+class TestRemovedModes:
+    def test_population_with_arrivals_is_refused(self):
+        with pytest.raises(ValueError, match="drop population="):
             RunSpec(
-                system="paxos", clients=50, duration=0.5, warmup=0.1,
-                seed=5, arrivals=arrivals,
+                system="paxos",
+                clients=100,
+                population=PopulationSpec(think_time=0.02),
+                arrivals=ArrivalSpec(steps=((0.0, 2000.0),)),
             )
+
+    @pytest.mark.parametrize("population", [
+        PopulationSpec(think_time=0.0),
+        PopulationSpec(),  # inherits the config's zero think time
+    ])
+    def test_zero_think_population_is_refused(self, population):
+        with pytest.raises(ValueError, match="drop population="):
+            build_cluster("idem", 50, population=population)
+
+
+# -- lending cids to pooled real clients -------------------------------
+
+
+def population_cluster(system="idem", clients=100, think_time=0.02, **kwargs):
+    cluster = build_cluster(
+        system, clients, population=PopulationSpec(think_time=think_time),
+        **kwargs,
+    )
+    return cluster, cluster.clients[0]
+
+
+class TestLending:
+    @pytest.mark.parametrize("system", ["idem", "paxos", "paxos-lbr", "bftsmart"])
+    def test_safe_and_monotone_across_a_leader_crash_with_retries(self, system):
+        """Retries and failover re-send under fresh onrs while other
+        pool objects serve the same cids before and after: the replicas'
+        at-most-once window needs every cid's onrs strictly increasing."""
+        result = run_experiment(RunSpec(
+            system=system,
+            clients=150,
+            duration=1.0,
+            warmup=0.1,
+            seed=4,
+            population=PopulationSpec(think_time=0.02),
+            overrides={
+                "retry_policy": "immediate",
+                "retry_on": "any",
+                "request_timeout": 0.2,
+            },
+            faults=FaultSchedule([CrashFault(0.3, "leader")]),
+            safety=True,
+            observe=True,
+        ))
+        assert result.safety_violations == []
+        assert result.client_stats["retries"] > 0
+        assert result.client_stats["successes"] > 1000
+        last: dict[int, int] = {}
+        relent = 0
+        for event in result.obs.tracer.events:
+            if event.kind == CLIENT_SEND:
+                cid, onr = event.rid
+                assert onr > last.get(cid, 0), (cid, onr, last[cid])
+                relent += cid in last
+                last[cid] = onr
+        assert relent > 1000  # cids really were lent again and again
+
+    def test_late_reject_for_a_returned_cid_still_counts(self):
+        cluster, node = population_cluster()
+        cluster.run_until(0.05)
+        idle_cid = node._free_cids[0]
+        assert node._clients and idle_cid not in node._lent
+        gaps = cluster.metrics.reject_gaps
+        assert gaps.last_time is None
+        node.deliver(replica_address(0), Reject((idle_cid, 1)))
+        assert gaps.last_time == cluster.loop.now
+
+    def test_pool_holds_peak_in_flight_not_n(self):
+        cluster, node = population_cluster(
+            clients=100_000, think_time=10.0, stop_time=0.3
         )
-        population = run_experiment(
-            RunSpec(
-                system="paxos", clients=50, duration=0.5, warmup=0.1,
-                seed=5, arrivals=arrivals,
-                population=PopulationSpec(think_time=0.0),
+        peak = 0
+        lend = node._lend
+
+        def spying_lend():
+            nonlocal peak
+            lend()
+            peak = max(peak, len(node._lent))
+
+        node._lend = spying_lend
+        cluster.run_until(0.3)
+        assert cluster.client_stats()["successes"] > 2000
+        assert len(node._clients) == peak < 200
+        assert len(node._pool) + len(node._lent) == len(node._clients)
+
+    def test_retry_budget_is_one_bucket_scaled_by_n(self):
+        """Object clients own a budget each; the pool shares one scaled
+        by N, so the retries a binding budget lets through depend on N
+        and time only — not on how many pool objects the load created."""
+        horizon, rate, cap, n = 0.4, 2.0, 1.0, 300
+        spent = {}
+        for think_time in (0.004, 0.012):
+            cluster, node = population_cluster(
+                clients=n,
+                think_time=think_time,
+                stop_time=horizon,
+                overrides={
+                    "retry_policy": "immediate",
+                    "retry_on": "reject",
+                    "retry_budget_rate": rate,
+                    "retry_budget_cap": cap,
+                    "reject_threshold": 2,
+                },
             )
-        )
-        def events_per_request(result):
-            return (
-                result.sim_stats["dispatched_events"]
-                / result.client_stats["commands"]
-            )
-        floor = events_per_request(reference)
-        cost = events_per_request(population)
-        assert cost <= 1.2 * floor, (cost, floor)
+            cluster.run_until(horizon)
+            stats = cluster.client_stats()
+            assert stats["give_ups"] > 0  # the budget binds
+            spent[len(node._clients)] = stats["retries"]
+        assert len(spent) == 2 and max(spent) > 2 * min(spent)
+        budget = n * (cap + rate * horizon)
+        assert set(spent.values()) == {int(budget) - 1}
 
 
 # -- determinism across hash seeds -------------------------------------
@@ -296,22 +354,25 @@ def test_population_run_is_hash_seed_invariant():
     assert out_a == out_b
 
 
-# -- the equivalence gate ----------------------------------------------
+# -- what the think-pool approximation costs ---------------------------
 
 
-def test_closed_loop_equivalence_gate():
-    """The headline claim of ``repro.population``: in the exact
-    closed-loop regime the aggregate reproduces the per-object clients'
-    throughput within ±5% and p99 within ±10% at N in {50, 100, 200},
-    for both the proactive-rejection system and the baseline."""
-    report = validate_population()
-    rendered = report.render()
-    assert report.ok, rendered
-    assert {row.clients for row in report.rows} == {50, 100, 200}
-    assert {row.system for row in report.rows} == {"idem", "paxos"}
-    for row in report.rows:
-        assert row.throughput_error <= THROUGHPUT_TOLERANCE, rendered
-        assert row.p99_error <= P99_TOLERANCE, rendered
+@pytest.mark.parametrize("system", ["idem", "paxos"])
+def test_light_load_agrees_with_thinking_object_clients(system):
+    """Below saturation the population (exponential think as a Poisson
+    rate, a random cid per operation) and N per-object clients with the
+    same deterministic think time Z offer the same load N / (Z + R):
+    goodput and p99 agree within 5 % over three metric buckets.  Under
+    overload they differ by design — docs/WORKLOADS.md has the numbers
+    and the cause."""
+    common = dict(system=system, clients=200, duration=1.0, warmup=0.25, seed=1)
+    population = run_experiment(
+        RunSpec(population=PopulationSpec(think_time=0.02), **common)
+    )
+    objects = run_experiment(RunSpec(overrides={"think_time": 0.02}, **common))
+    assert objects.client_stats["rejections"] == 0 == objects.timeouts
+    assert population.throughput == pytest.approx(objects.throughput, rel=0.05)
+    assert population.latency.p99 == pytest.approx(objects.latency.p99, rel=0.05)
 
 
 # -- figM --------------------------------------------------------------

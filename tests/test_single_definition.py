@@ -33,3 +33,25 @@ def test_no_function_body_exists_twice():
                 seen[dump].add(f"{path.name}:{name}")
     copies = [names for names in seen.values() if len(names) > 1]
     assert [sorted(names) for names in copies if names not in ALLOWED] == []
+
+
+def test_population_holds_no_client_state_machine():
+    """``repro.population`` lends cids to the real client classes; a
+    second reply/reject/retry/hedge implementation must not grow back."""
+    offenders = []
+    for path in sorted((SRC / "population").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.rpartition(".")[2] for alias in node.names}
+                offenders += [
+                    f"{path.name} imports {name}"
+                    for name in sorted(names & {"Request", "Reply", "Reject"})
+                ]
+        offenders += [
+            f"{path.name} defines {name}"
+            for name, _ in _functions(tree)
+            if name.rpartition(".")[2]
+            in {"_on_reply", "_on_reject", "_attempt_failed", "_send_hedge"}
+        ]
+    assert offenders == []

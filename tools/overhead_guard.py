@@ -27,6 +27,10 @@ import sys
 
 from repro.cluster.faults import FaultSchedule
 from repro.cluster.runner import RunSpec, run_experiment
+from repro.population import PopulationSpec
+
+# Gauges only the aggregate population node publishes.
+POPULATION_SERIES = ("virtual_clients", "active_requests", "think_pool")
 
 
 def fingerprint(result) -> list[tuple[str, object]]:
@@ -46,7 +50,8 @@ def fingerprint(result) -> list[tuple[str, object]]:
 
 
 def scenarios(system: str, seed: int) -> list[tuple[str, dict]]:
-    """Steady state, overload (rejection path) and a crash/recovery."""
+    """Steady state, overload (rejection path), a crash/recovery and a
+    population run (hooks forwarded to whichever pooled client is lent)."""
     return [
         (
             "steady",
@@ -72,6 +77,18 @@ def scenarios(system: str, seed: int) -> list[tuple[str, dict]]:
                 warmup=0.2,
                 seed=seed,
                 faults=FaultSchedule().crash_follower(0.4).recover_replica(0.8),
+            ),
+        ),
+        (
+            "population",
+            dict(
+                system=system,
+                clients=2000,
+                duration=1.0,
+                warmup=0.3,
+                seed=seed,
+                population=PopulationSpec(think_time=0.2),
+                overrides={"reject_threshold": 2},
             ),
         ),
     ]
@@ -146,6 +163,17 @@ def main(argv: list[str] | None = None) -> int:
                 f"[{label}] probe OVERHEAD: {recorder.samples_recorded} "
                 f"samples recorded, cadence budget is {budget}"
             )
+
+        if label == "population":
+            missing = [
+                name
+                for name in POPULATION_SERIES
+                if not recorder.series("clients", name)
+            ]
+            if missing:
+                failures += 1
+                ok = False
+                print(f"[{label}] probe series not published: {missing}")
 
         if ok:
             events = len(traced.obs.tracer.events) if traced.obs else 0
