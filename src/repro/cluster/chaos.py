@@ -49,6 +49,24 @@ class SafetyChecker:
     and cross-sequence-number reuse of request ids, execution order)
     happen online as executions are observed, the cross-replica checks
     (agreement, reply validity, convergence) at :meth:`finish`.
+
+    What it retains, and why each check still holds with no more:
+
+    * ``_batches`` — every rid each incarnation executed at each sqn, in
+      order.  Agreement compares these lists; it is also the record of
+      *who* executed a rid *where*.
+    * ``_rid_sqn`` — the first sqn each rid executed at, anywhere.  A
+      different sqn later is the cross-sqn at-most-once violation, and
+      its keys are the executed rids reply validity checks against.
+    * ``_further_sqns`` — for the rids that violated that rule only, the
+      other sqns they executed at.  An incarnation executed a rid before
+      exactly when the rid is in its ``_batches`` list at one of the
+      rid's sqns, so the per-incarnation at-most-once check needs no
+      per-execution set.
+    * ``_last_sqn`` — one integer per incarnation, for monotonic order.
+
+    So the checker holds one batch slot per execution plus one entry per
+    distinct rid, and nothing per (incarnation, rid) pair.
     """
 
     def __init__(self) -> None:
@@ -57,9 +75,9 @@ class SafetyChecker:
         # sqn -> incarnation -> rids executed under that sqn, in order.
         self._batches: dict[int, dict[_Key, list[Rid]]] = {}
         self._rid_sqn: dict[Rid, int] = {}
-        self._seen: set[tuple[_Key, Rid]] = set()
+        # rid -> sqns other than _rid_sqn[rid] it executed at (violations only).
+        self._further_sqns: dict[Rid, list[int]] = {}
         self._last_sqn: dict[_Key, int] = {}
-        self._executed_rids: set[Rid] = set()
         self._clients: list = []
 
     def attach(self, cluster: Cluster) -> None:
@@ -75,24 +93,44 @@ class SafetyChecker:
     def _note_execution(self, replica, sqn: int, rid: Rid) -> None:
         key = (replica.index, replica.incarnation)
         self.executions += 1
-        self._executed_rids.add(rid)
+        batches = self._batches
+        at_sqn = batches.get(sqn)
+        if at_sqn is None:
+            at_sqn = batches[sqn] = {}
+        batch = at_sqn.get(key)
+        if batch is None:
+            batch = at_sqn[key] = []
         known = self._rid_sqn.setdefault(rid, sqn)
+        further = self._further_sqns.get(rid)
+        # This incarnation executed rid before exactly when its batch at
+        # one of the rid's sqns lists it.
+        if known == sqn and further is None:
+            twice = rid in batch
+        else:
+            twice = any(
+                rid in batches[other].get(key, ())
+                for other in (known, *(further or ()))
+            )
         if known != sqn:
             self._violate(
                 f"at-most-once: rid {rid} executed at sqn {known} and sqn {sqn}"
             )
-        if (key, rid) in self._seen:
+            if further is None:
+                further = self._further_sqns[rid] = []
+            if sqn not in further:
+                further.append(sqn)
+        if twice:
             self._violate(
                 f"at-most-once: replica {key} executed rid {rid} twice"
             )
-        self._seen.add((key, rid))
         last = self._last_sqn.get(key, 0)
         if sqn < last:
             self._violate(
                 f"order: replica {key} executed sqn {sqn} after sqn {last}"
             )
-        self._last_sqn[key] = max(last, sqn)
-        self._batches.setdefault(sqn, {}).setdefault(key, []).append(rid)
+        else:
+            self._last_sqn[key] = sqn
+        batch.append(rid)
 
     def _violate(self, message: str) -> None:
         self.violations.append(message)
@@ -124,7 +162,7 @@ class SafetyChecker:
     def _check_replies(self) -> None:
         for client in self._clients:
             for rid in client.reply_log or ():
-                if rid not in self._executed_rids:
+                if rid not in self._rid_sqn:
                     self._violate(
                         f"reply validity: client accepted a reply for {rid} "
                         "but no replica executed it"

@@ -83,8 +83,12 @@ class IdemReplica(BaseReplica):
         self.acceptance = make_acceptance_test(config)
         # Accepted, not yet executed client requests (the slots).
         self.active: dict[Rid, ActiveRequest] = {}
-        # Newest active rid per client, for stale-slot supersession.
-        self._latest_active: dict[int, Rid] = {}
+        # Per client with active entries: [last accepted rid, {its active
+        # rids: None}] — the same rids as ``active``, grouped by cid so
+        # supersession and the dedup sweep touch only the client's own
+        # entries (Section 4.3: the operation number tells them apart).
+        # Dropped when the client's last active entry leaves.
+        self._client_active: dict[int, list] = {}
         # Bodies we own: active requests plus committed ones not yet
         # garbage collected (needed to serve FETCHes).
         self.request_store: dict[Rid, Request] = {}
@@ -185,16 +189,22 @@ class IdemReplica(BaseReplica):
     def _accept_request(self, request: Request) -> None:
         """Occupy a slot for ``request`` and hand its id to the ordering stage."""
         rid = request.rid
+        cid = rid[0]
         self.active[rid] = ActiveRequest(request, self.loop.now)
         self.request_store[rid] = request
         self.stats["accepted"] += 1
-        self._supersede_stale_active(rid)
-        self._release_dedup_dead(rid[0])
+        record = self._client_active.get(cid)
+        if record is None:
+            self._client_active[cid] = [rid, {rid: None}]
+        else:
+            record[1][rid] = None
+            self._supersede_stale_active(record, rid)
+        self._release_dedup_dead(cid)
         self._route_require(rid)
         if not self._progress_timer.running:
             self._progress_timer.start()
 
-    def _supersede_stale_active(self, rid: Rid) -> None:
+    def _supersede_stale_active(self, record: list, rid: Rid) -> None:
         """A newer request from a client supersedes its older, still
         *unproposed* active entry (Section 4.3: the operation number
         distinguishes a client's latest request from older ones).  The
@@ -202,16 +212,33 @@ class IdemReplica(BaseReplica):
         by another replica can still be served.  This bounds active-set
         growth during ordering stalls, when clients abandon operations
         and issue new ones faster than slots can drain.
+
+        ``record`` is the client's entry in ``_client_active``, already
+        holding ``rid``; its first item, the client's previously accepted
+        rid, becomes ``rid``.
         """
-        cid, onr = rid
-        previous = self._latest_active.get(cid)
-        if previous is not None and previous[1] < onr:
-            entry = self.active.get(previous)
-            if entry is not None and previous not in self.proposed_rids:
-                del self.active[previous]
-                self.request_store.pop(previous, None)
-                self._cache_rejected(entry.request)
-        self._latest_active[cid] = rid
+        previous = record[0]
+        record[0] = rid
+        if (
+            previous[1] < rid[1]
+            and previous in record[1]
+            and previous not in self.proposed_rids
+        ):
+            entry = self._pop_active(previous)
+            self.request_store.pop(previous, None)
+            self._cache_rejected(entry.request)
+
+    def _pop_active(self, rid: Rid) -> Optional[ActiveRequest]:
+        """Free ``rid``'s slot, if it holds one: the one removal path of
+        ``active`` and ``_client_active``."""
+        entry = self.active.pop(rid, None)
+        if entry is not None:
+            cid = rid[0]
+            rids = self._client_active[cid][1]
+            del rids[rid]
+            if not rids:
+                del self._client_active[cid]
+        return entry
 
     def _release_dedup_dead(self, cid: int) -> None:
         """Free active slots of ``cid`` that the dedup check has killed.
@@ -230,14 +257,15 @@ class IdemReplica(BaseReplica):
         closes the leak; bodies move to the rejected cache so a late
         proposal or fetch by another replica can still be served.
         """
+        record = self._client_active.get(cid)
+        if record is None:
+            return
         executed = self.executed_onr.get(cid, 0)
         if not executed:
             return
-        dead = sorted(
-            rid for rid in self.active if rid[0] == cid and rid[1] <= executed
-        )
+        dead = sorted(rid for rid in record[1] if rid[1] <= executed)
         for rid in dead:
-            entry = self.active.pop(rid)
+            entry = self._pop_active(rid)
             self.request_store.pop(rid, None)
             self._cache_rejected(entry.request)
 
@@ -434,7 +462,7 @@ class IdemReplica(BaseReplica):
     # ------------------------------------------------------------------
 
     def _on_executed(self, rid: Rid, request: Request, result: Any) -> None:
-        entry = self.active.pop(rid, None)  # free the slot
+        entry = self._pop_active(rid)  # free the slot
         if entry is not None:
             self.acceptance.observe_completion(self.loop.now - entry.accept_time)
         # Executing (cid, onr) dedup-kills every lower active entry of
@@ -468,6 +496,7 @@ class IdemReplica(BaseReplica):
             for rid in instance.rids:
                 self.request_store.pop(rid, None)
                 self.proposed_rids.pop(rid, None)
+                self._fetching.pop(rid, None)
         self.window_start = new_start
 
     def _gc_after_execute(self, sqn: int) -> None:
@@ -495,7 +524,7 @@ class IdemReplica(BaseReplica):
             return self.executed_onr.get(rid[0], 0) >= rid[1]
 
         for rid in [r for r in self.active if covered(r)]:
-            del self.active[rid]
+            self._pop_active(rid)
         for rid in [r for r in self.request_store if covered(r)]:
             del self.request_store[rid]
         for rid in [r for r in self.proposed_rids if covered(r)]:

@@ -12,8 +12,9 @@ stand-in for N per-client think timers.
 Each arrival *lends* a virtual-client identity to a real protocol
 client: the node draws a free cid from the seeded ``population.cids``
 stream, takes an idle object of the system's registry client class from
-a LIFO pool (building one only when the pool is empty, so memory is
-O(peak in-flight), not O(N)), stamps it with the cid and the shared
+a LIFO pool (building one only when the pool is empty, so client
+objects are O(peak in-flight), not O(N); the free-id list itself holds
+N ints), stamps it with the cid and the shared
 operation-number counter, and calls its ``_issue_next()``.  Everything
 that happens to the request — replies, rejections, the optimistic grace
 period, timeouts, retransmissions, leader failover, retries, hedges —

@@ -54,5 +54,16 @@ def assert_replicas_consistent(cluster: Cluster) -> None:
     assert len({r.app.digest() for r in replicas}) == 1, "diverging app state"
 
 
+def assert_active_index_consistent(replica) -> None:
+    """An IDEM replica's per-client index holds exactly its active rids,
+    each under its own client, and no client keeps an empty record."""
+    indexed = set()
+    for cid, (_, rids) in replica._client_active.items():
+        assert rids, f"client {cid} keeps an empty record"
+        assert all(rid[0] == cid for rid in rids)
+        indexed.update(rids)
+    assert indexed == set(replica.active)
+
+
 def total_successes(cluster: Cluster) -> int:
     return sum(client.successes for client in cluster.clients)

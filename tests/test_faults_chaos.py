@@ -1,7 +1,10 @@
 """Tests for the fault-plan DSL, crash recovery, and the chaos runner."""
 
+import tracemalloc
+
 import pytest
 
+from repro.cluster import chaos as chaos_module
 from repro.cluster.builder import build_cluster
 from repro.cluster.chaos import (
     ChaosOptions,
@@ -26,7 +29,7 @@ from repro.net.network import Network, NetworkNode
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RngRegistry
 
-from tests.conftest import small_profile
+from tests.conftest import assert_active_index_consistent, small_profile
 
 
 class TestFaultTargeting:
@@ -267,48 +270,48 @@ class TestGrayFailures:
 
 
 class TestSafetyChecker:
+    """Exact violation lists: every string and its order are pinned."""
+
     class _FakeReplica:
         def __init__(self, index, incarnation=0):
             self.index = index
             self.incarnation = incarnation
 
-    def test_detects_divergent_batches(self):
+    A, B = _FakeReplica(0), _FakeReplica(1)
+    OLD, NEW = _FakeReplica(0, incarnation=0), _FakeReplica(0, incarnation=1)
+
+    @staticmethod
+    def _violations(executions):
         checker = SafetyChecker()
-        a, b = self._FakeReplica(0), self._FakeReplica(1)
-        checker._note_execution(a, 1, (1, 1))
-        checker._note_execution(b, 1, (2, 1))
+        for replica, sqn, rid in executions:
+            checker._note_execution(replica, sqn, rid)
         checker._check_agreement()
-        assert any("agreement" in v for v in checker.violations)
+        return checker.violations
+
+    def test_detects_divergent_batches(self):
+        assert self._violations([(self.A, 1, (1, 1)), (self.B, 1, (2, 1))]) == [
+            "agreement: divergent batches at sqn 1 across replicas "
+            "[(0, 0), (1, 0)]: [((1, 1),), ((2, 1),)]"
+        ]
 
     def test_detects_double_execution_on_one_incarnation(self):
-        checker = SafetyChecker()
-        a = self._FakeReplica(0)
-        checker._note_execution(a, 1, (1, 1))
-        checker._note_execution(a, 2, (1, 1))
-        assert any("at-most-once" in v for v in checker.violations)
+        assert self._violations([(self.A, 1, (1, 1)), (self.A, 2, (1, 1))]) == [
+            "at-most-once: rid (1, 1) executed at sqn 1 and sqn 2",
+            "at-most-once: replica (0, 0) executed rid (1, 1) twice",
+        ]
 
     def test_fresh_incarnation_may_reexecute(self):
-        checker = SafetyChecker()
-        old = self._FakeReplica(0, incarnation=0)
-        new = self._FakeReplica(0, incarnation=1)
-        checker._note_execution(old, 1, (1, 1))
-        checker._note_execution(new, 1, (1, 1))
-        checker._check_agreement()
-        assert checker.violations == []
+        assert self._violations([(self.OLD, 1, (1, 1)), (self.NEW, 1, (1, 1))]) == []
 
     def test_detects_rid_under_two_sqns(self):
-        checker = SafetyChecker()
-        a, b = self._FakeReplica(0), self._FakeReplica(1)
-        checker._note_execution(a, 1, (1, 1))
-        checker._note_execution(b, 2, (1, 1))
-        assert any("sqn 1 and sqn 2" in v for v in checker.violations)
+        assert self._violations([(self.A, 1, (1, 1)), (self.B, 2, (1, 1))]) == [
+            "at-most-once: rid (1, 1) executed at sqn 1 and sqn 2"
+        ]
 
     def test_detects_out_of_order_execution(self):
-        checker = SafetyChecker()
-        a = self._FakeReplica(0)
-        checker._note_execution(a, 5, (1, 1))
-        checker._note_execution(a, 3, (2, 1))
-        assert any("order" in v for v in checker.violations)
+        assert self._violations([(self.A, 5, (1, 1)), (self.A, 3, (2, 1))]) == [
+            "order: replica (0, 0) executed sqn 3 after sqn 5"
+        ]
 
     def test_detects_unbacked_client_reply(self):
         class _FakeClient:
@@ -317,7 +320,73 @@ class TestSafetyChecker:
         checker = SafetyChecker()
         checker._clients = [_FakeClient()]
         checker._check_replies()
-        assert any("reply validity" in v for v in checker.violations)
+        assert checker.violations == [
+            "reply validity: client accepted a reply for (9, 9) but no replica "
+            "executed it"
+        ]
+
+    def test_detects_duplicate_inside_one_batch(self):
+        a, b = self.A, self.B
+        executions = [(a, 1, (1, 1)), (a, 1, (2, 1)), (a, 1, (1, 1))]
+        executions += [(b, 1, (1, 1)), (b, 1, (2, 1))]
+        assert self._violations(executions) == [
+            "at-most-once: replica (0, 0) executed rid (1, 1) twice",
+            "agreement: divergent batches at sqn 1 across replicas "
+            "[(0, 0), (1, 0)]: [((1, 1), (2, 1)), ((1, 1), (2, 1), (1, 1))]",
+        ]
+
+    def test_detects_reexecution_at_a_third_sqn(self):
+        # B re-executes at sqn 3 after the sqn 1 / sqn 2 violation, then
+        # at the rid's first sqn: both are repeats by B, found through
+        # the sqns the rid already executed at.
+        a, b = self.A, self.B
+        executions = [(a, 1, (1, 1)), (b, 2, (1, 1)), (b, 3, (1, 1)), (b, 1, (1, 1))]
+        assert self._violations(executions) == [
+            "at-most-once: rid (1, 1) executed at sqn 1 and sqn 2",
+            "at-most-once: rid (1, 1) executed at sqn 1 and sqn 3",
+            "at-most-once: replica (1, 0) executed rid (1, 1) twice",
+            "at-most-once: replica (1, 0) executed rid (1, 1) twice",
+            "order: replica (1, 0) executed sqn 1 after sqn 3",
+        ]
+
+    def test_recovered_incarnation_at_a_new_sqn(self):
+        # The rid moved sqn (a violation), but the newcomer executing it
+        # once is not a repeat of its previous incarnation's execution.
+        old, new = self.OLD, self.NEW
+        executions = [(old, 1, (1, 1)), (old, 2, (2, 1))]
+        executions += [(new, 2, (1, 1)), (new, 2, (2, 1)), (new, 3, (3, 1))]
+        assert self._violations(executions) == [
+            "at-most-once: rid (1, 1) executed at sqn 1 and sqn 2",
+            "agreement: divergent batches at sqn 2 across replicas "
+            "[(0, 0), (0, 1)]: [((1, 1), (2, 1)), ((2, 1),)]",
+        ]
+
+    def test_retained_state_per_executed_request(self):
+        # The checker keeps one batch slot per execution and one entry
+        # per distinct rid — nothing per (incarnation, rid) pair, which
+        # cost about 600 B per executed request.
+        cluster = build_cluster(
+            "idem", 20, seed=1, profile=small_profile(), stop_time=1.0
+        )
+        checker = SafetyChecker()
+        checker.attach(cluster)
+        FaultSchedule().crash_leader(0.3).install(cluster)
+        tracemalloc.start()
+        try:
+            cluster.run_until(1.0)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        retained = sum(
+            stat.size
+            for stat in snapshot.filter_traces(
+                [tracemalloc.Filter(True, chaos_module.__file__)]
+            ).statistics("filename")
+        )
+        executed = len(checker._rid_sqn)
+        assert executed > 5000
+        assert checker.finish(cluster, lag_slack=2.0) == []
+        assert retained / executed <= 250
 
 
 class TestChaosRunner:
@@ -341,16 +410,48 @@ class TestChaosRunner:
         second = run_chaos(options).summary()
         assert first == second
 
-    def test_chaos_run_holds_invariants_and_recovers(self):
+    @staticmethod
+    def _run_keeping_cluster(monkeypatch, options):
+        """``run_chaos`` that also hands back the cluster it ran."""
+        built = []
+
+        def build(*args, **kwargs):
+            built.append(build_cluster(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(chaos_module, "build_cluster", build)
+        return run_chaos(options), built[0]
+
+    def test_chaos_run_holds_invariants_and_recovers(self, monkeypatch):
         # Seed chosen so the plan includes a crash + recovery.
-        report = run_chaos(
-            ChaosOptions(system="idem", clients=5, duration=8.0, seed=3)
+        report, cluster = self._run_keeping_cluster(
+            monkeypatch, ChaosOptions(system="idem", clients=5, duration=8.0, seed=3)
         )
         assert report.ok, report.violations
         assert report.recoveries >= 1
         assert report.executions > 0
         assert len(set(report.app_digests)) == 1
         assert "safety: OK (0 violations)" in report.summary()
+        for replica in cluster.replicas:
+            assert_active_index_consistent(replica)
+
+    def test_executed_rids_leave_no_fetch_entries(self, monkeypatch):
+        # Seed 2's plan makes replica 1 fetch bodies 35 times; before the
+        # window's garbage collection dropped them, 29 entries outlived
+        # their execution.
+        report, cluster = self._run_keeping_cluster(
+            monkeypatch, ChaosOptions(system="idem", clients=5, duration=8.0, seed=2)
+        )
+        assert report.ok, report.violations
+        assert cluster.replicas[1].stats["fetches"] > 0
+        for replica in cluster.replicas:
+            stale = [
+                rid
+                for rid in replica._fetching
+                if replica.executed_onr.get(rid[0], 0) >= rid[1]
+            ]
+            assert stale == []
+            assert_active_index_consistent(replica)
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

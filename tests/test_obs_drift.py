@@ -15,12 +15,12 @@ import pytest
 
 from repro.app.commands import Command, KvOp
 from repro.cluster.builder import build_cluster
-from repro.core.replica import ActiveRequest, IdemReplica
+from repro.core.replica import IdemReplica
 from repro.obs import DetectorConfig, FlightRecorder, run_detectors
 from repro.protocols.base import BaseReplica
 from repro.protocols.messages import CheckpointRequest, Request
 
-from tests.conftest import small_profile
+from tests.conftest import assert_active_index_consistent, small_profile
 
 INTERVAL = 0.01
 CONFIG = DetectorConfig(interval=INTERVAL)
@@ -164,13 +164,15 @@ def _any_command() -> Command:
     return Command(KvOp.UPDATE, "user00000001", 10)
 
 
-def _plant_dead_slot(replica, cid: int, onr: int, executed: int) -> None:
-    """Fabricate a dedup-dead active entry: the client already executed
-    ``executed`` >= ``onr`` elsewhere while (cid, onr) still holds a slot."""
-    rid = (cid, onr)
-    request = Request(rid, _any_command())
-    replica.active[rid] = ActiveRequest(request, 0.0)
-    replica.request_store[rid] = request
+def _plant_dead_slots(replica, cid: int, onrs: list[int], executed: int) -> None:
+    """Fabricate dedup-dead active entries: each (cid, onr) is accepted
+    through the replica's one insertion point and marked proposed (so a
+    newer request cannot supersede it), then the client executes up to
+    ``executed`` elsewhere, which kills those with ``onr <= executed``."""
+    for onr in onrs:
+        rid = (cid, onr)
+        replica._accept_request(Request(rid, _any_command()))
+        replica.proposed_rids[rid] = 1
     replica.executed_onr[cid] = executed
 
 
@@ -194,8 +196,8 @@ class TestLeakFix:
     def test_direct_sweep_frees_and_caches(self):
         cluster = self._cluster()
         replica = cluster.replicas[1]
-        _plant_dead_slot(replica, cid=77, onr=1, executed=2)
-        _plant_dead_slot(replica, cid=77, onr=2, executed=2)
+        _plant_dead_slots(replica, cid=77, onrs=[1, 2], executed=2)
+        assert {(77, 1), (77, 2)} <= set(replica.active)
         replica._release_dedup_dead(77)
         assert (77, 1) not in replica.active
         assert (77, 2) not in replica.active
@@ -203,18 +205,23 @@ class TestLeakFix:
         # Bodies stay servable for late proposals by other replicas.
         assert (77, 1) in replica.rejected_cache
         assert (77, 2) in replica.rejected_cache
+        # The client's last entry left, and its index record with it.
+        assert 77 not in replica._client_active
+        assert_active_index_consistent(replica)
 
     def test_sweep_spares_live_entries(self):
         cluster = self._cluster()
         replica = cluster.replicas[1]
-        _plant_dead_slot(replica, cid=77, onr=3, executed=2)  # onr 3 is live
+        _plant_dead_slots(replica, cid=77, onrs=[1, 3], executed=2)  # 3 is live
         replica._release_dedup_dead(77)
+        assert (77, 1) not in replica.active
         assert (77, 3) in replica.active
+        assert_active_index_consistent(replica)
 
     def test_reject_path_sweeps(self):
         cluster = self._cluster()
         replica = cluster.replicas[1]
-        _plant_dead_slot(replica, cid=77, onr=1, executed=2)
+        _plant_dead_slots(replica, cid=77, onrs=[1], executed=2)
         # Occupancy 1 >= threshold 1, so this request is rejected — and
         # the reject path must free the client's dead slot.
         replica.deliver(cluster.clients[0].address, Request((77, 3), _any_command()))
@@ -224,7 +231,7 @@ class TestLeakFix:
     def test_accept_path_sweeps(self):
         cluster = self._cluster(reject_threshold=10)
         replica = cluster.replicas[1]
-        _plant_dead_slot(replica, cid=88, onr=1, executed=3)
+        _plant_dead_slots(replica, cid=88, onrs=[1], executed=3)
         replica.deliver(cluster.clients[0].address, Request((88, 4), _any_command()))
         cluster.run_until(0.05)
         # The dead slot is gone (and its body stays servable); the new
@@ -259,7 +266,8 @@ class TestStormRegression:
         rules = {finding["rule"] for finding in result.findings}
         assert "active_set_leak" in rules
 
-    def test_fixed_storm_is_clean_and_recovers(self):
+    def test_fixed_storm_is_clean_and_recovers(self, monkeypatch):
+        from repro.experiments import common
         from repro.experiments.figR_retry_storm import (
             ANY_RETRY,
             BASE_OVERRIDES,
@@ -267,10 +275,20 @@ class TestStormRegression:
             measure_storm,
         )
 
+        results = []
+        execute_run = common.execute_run
+
+        def keep_result(spec):
+            results.append(execute_run(spec))
+            return results[-1]
+
+        monkeypatch.setattr(common, "execute_run", keep_result)
         overrides = {**BASE_OVERRIDES, **IDEM_OVERRIDES, **ANY_RETRY}
         run = measure_storm("idem", "naive-any", overrides, probes=True)
         assert run.recovered
         assert run.drift_findings == 0
+        for replica in results[0].obs.cluster.replicas:
+            assert_active_index_consistent(replica)
 
     def test_multileader_storm_frees_dead_slots_on_execute(self, monkeypatch):
         # The variant shares IdemReplica._on_executed (and its
