@@ -68,7 +68,10 @@ from repro.workload.ycsb import YcsbProfile
 # payload: the aggregate node lends cids to pooled real clients (exact
 # timers, per-client leader knowledge) instead of running its own copy
 # of the client state machine.
-CACHE_SCHEMA = 7
+# 8 — population jobs draw other cids under an unchanged payload (a
+# rejection draw over [0, N) replaces the free-id list), and the pickled
+# IntervalRecorder keeps only record-setting gaps.
+CACHE_SCHEMA = 8
 
 KIND_SIM = "sim"
 KIND_CELL = "tab1-cell"

@@ -145,7 +145,6 @@ def collect_result(
         node = cluster.clients[0]
         client_stats["virtual_clients"] = node.n_clients
         client_stats["arrivals"] = node.arrivals_generated
-        client_stats["shed_arrivals"] = node.shed_arrivals
         client_stats["lost_arrivals"] = node.lost_arrivals
         client_stats["feedback_ticks"] = node.feedback_ticks
     findings = None

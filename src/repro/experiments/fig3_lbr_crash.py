@@ -80,30 +80,18 @@ def run(
     duration = spec.duration
     result = common.execute_run(spec)
     metrics = result.metrics
-    series = metrics.reject_counter.series()
-    downtime = max(
-        (
-            gap
-            for gap in _gaps_after(metrics.reject_gaps, crash_time)
-        ),
-        default=0.0,
-    )
     return Fig3Data(
         crash_time=crash_time,
         duration=duration,
-        reject_rate_series=series,
-        reject_downtime=downtime,
+        reject_rate_series=metrics.reject_counter.series(),
+        # The longest inter-rejection gap: the crash-induced one dominates.
+        reject_downtime=metrics.reject_gaps.longest_gap(),
         pre_crash_reject_rate=metrics.reject_counter.rate_between(1.0, crash_time),
         post_crash_reject_rate=metrics.reject_counter.rate_between(
             duration - 1.0, duration
         ),
         safety_violations=result.safety_violations or [],
     )
-
-
-def _gaps_after(interval_recorder, crash_time: float) -> list[float]:
-    """All inter-rejection gaps (the crash-induced one dominates)."""
-    return list(interval_recorder.gaps)
 
 
 def render(data: Fig3Data) -> str:

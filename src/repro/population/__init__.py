@@ -14,8 +14,8 @@ object of the system's ordinary client class, which handles the
 request with the same code as a per-object client and hands itself
 back when done — so client objects and event cost are O(active
 requests), not O(N), and there is one client state machine, not a
-re-model of it.  What does grow with N is the free-id pool (a list of N
-ints) and each replica's per-cid ``executed_onr``/``last_reply``.
+re-model of it.  What does grow with N is each replica's per-cid
+``executed_onr``/``last_reply``.
 
 :class:`PopulationSpec` is the serialisable knob (rides campaign
 payloads like :class:`~repro.workload.open_loop.ArrivalSpec`).  What

@@ -13,9 +13,10 @@ Each arrival *lends* a virtual-client identity to a real protocol
 client: the node draws a free cid from the seeded ``population.cids``
 stream, takes an idle object of the system's registry client class from
 a LIFO pool (building one only when the pool is empty, so client
-objects are O(peak in-flight), not O(N); the free-id list itself holds
-N ints), stamps it with the cid and the shared
-operation-number counter, and calls its ``_issue_next()``.  Everything
+objects are O(peak in-flight), not O(N)), stamps it with the cid and
+the shared operation-number counter, and calls its ``_issue_next()``.
+The node's own state is O(peak in-flight) too: a free cid is any id not
+in the lent map.  Everything
 that happens to the request — replies, rejections, the optimistic grace
 period, timeouts, retransmissions, leader failover, retries, hedges —
 is the client class's own code (``repro.protocols.clients`` /
@@ -99,9 +100,9 @@ class AggregateClientNode:
                 max(1.0, config.retry_budget_cap * n_clients),
             )
 
-        # Identity fabrication: free virtual-client ids (swap-pop draw)
-        # and one monotone operation-number counter shared by all cids.
-        self._free_cids = list(range(n_clients))
+        # Identity fabrication: a cid is free while it is not in _lent
+        # (see _lend), and one monotone operation-number counter is
+        # shared by all cids.
         self._onr = 0
         self._clients: list = []  # every client object built
         self._pool: list = []  # the idle ones (LIFO)
@@ -118,7 +119,6 @@ class AggregateClientNode:
 
         self.stopped = False
         self.arrivals_generated = 0
-        self.shed_arrivals = 0  # backoff re-entries that found no free cid
         self.lost_arrivals = 0  # arrivals that found no thinker
         self.feedback_ticks = 0
         # Forwarded to each client as it is lent (SafetyChecker / hub).
@@ -192,14 +192,15 @@ class AggregateClientNode:
         """Lend a free virtual-client identity to a pooled client."""
         if self.stopped or self.loop.now >= self.stop_time:
             return
-        free = self._free_cids
-        if not free:
-            self.shed_arrivals += 1
-            return
-        # Draw a currently-idle virtual client id, uniformly.
-        i = self._cid_rng.randrange(len(free))
-        free[i], free[-1] = free[-1], free[i]
-        cid = free.pop()
+        # Draw a currently-idle virtual client id, uniformly: redrawing
+        # a lent id is uniform over the free ids, at lent / (N - lent)
+        # expected redraws.  Every virtual client is thinking, lent or
+        # waiting on a backoff re-entry (think + lent + backing-off = N),
+        # and a lend is reached only from an arrival that took a thinker
+        # or from a re-entry, so at least one id is free and this ends.
+        cid = self._cid_rng.randrange(self.n_clients)
+        while cid in self._lent:
+            cid = self._cid_rng.randrange(self.n_clients)
         client = self._pool.pop() if self._pool else self._new_client()
         client.cid = cid
         client.address = client_address(cid)
@@ -221,7 +222,6 @@ class AggregateClientNode:
         """
         self._onr = max(self._onr, client.onr)
         del self._lent[client.cid]
-        self._free_cids.append(client.cid)
         self._pool.append(client)
         if outcome == "reject" and not self._reject_to_think:
             self.loop.call_after(delay, self._lend)
@@ -279,7 +279,7 @@ class AggregateClientNode:
         self._int_anchor = now
         self._exp_remaining = self._arrival_rng.expovariate(1.0)
         self.arrivals_generated += 1
-        if self._think > 0 and self._free_cids:
+        if self._think > 0:
             self._think -= 1
             self._lend()
         else:

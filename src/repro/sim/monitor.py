@@ -9,6 +9,7 @@ windowed interval statistics (:class:`IntervalRecorder`).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 
@@ -154,32 +155,38 @@ class IntervalRecorder:
 
     Used to measure e.g. the longest period without any rejection being
     delivered (the "reject downtime" of Figure 3 / Figure 10d).
+
+    Occurrence times must be non-decreasing.  Only the gaps that no
+    later gap has matched or beaten are kept: ``_ends`` increasing and
+    ``_gaps`` strictly decreasing, so memory is O(record-setting gaps),
+    not O(occurrences).  Both queries stay exact: the longest gap ending
+    at or after ``start`` is the last occurrence of that maximum, which
+    no later gap matches, so it is kept, and it is the first kept gap
+    ending at or after ``start``.
     """
 
     last_time: float | None = None
-    gaps: list[float] = field(default_factory=list)
-    gap_ends: list[float] = field(default_factory=list)
+    _ends: list[float] = field(default_factory=list)
+    _gaps: list[float] = field(default_factory=list)
 
     def record(self, time: float) -> None:
         """Record an occurrence at simulated time ``time``."""
         if self.last_time is not None:
-            self.gaps.append(time - self.last_time)
-            self.gap_ends.append(time)
+            gap = time - self.last_time
+            while self._gaps and self._gaps[-1] <= gap:
+                del self._gaps[-1], self._ends[-1]
+            self._gaps.append(gap)
+            self._ends.append(time)
         self.last_time = time
 
     def longest_gap(self, until: float | None = None) -> float:
         """The longest observed gap; optionally extends to a final time ``until``."""
-        longest = max(self.gaps, default=0.0)
-        if until is not None and self.last_time is not None:
-            longest = max(longest, until - self.last_time)
-        return longest
+        return self.longest_gap_overlapping(-math.inf, until)
 
     def longest_gap_overlapping(self, start: float, until: float | None = None) -> float:
         """The longest gap that overlaps ``[start, ...]`` (e.g. after a crash)."""
-        longest = 0.0
-        for gap, end in zip(self.gaps, self.gap_ends):
-            if end >= start:
-                longest = max(longest, gap)
+        index = bisect_left(self._ends, start)
+        longest = self._gaps[index] if index < len(self._gaps) else 0.0
         if until is not None and self.last_time is not None and until >= start:
             longest = max(longest, until - self.last_time)
         return longest

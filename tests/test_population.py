@@ -17,6 +17,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -37,6 +38,7 @@ from repro.population import (
     REJECT_REENTRY_MODES,
     PopulationSpec,
 )
+from repro.population import aggregate
 from repro.protocols.messages import Reject
 from repro.workload.open_loop import ArrivalSpec
 
@@ -262,8 +264,8 @@ class TestLending:
     def test_late_reject_for_a_returned_cid_still_counts(self):
         cluster, node = population_cluster()
         cluster.run_until(0.05)
-        idle_cid = node._free_cids[0]
-        assert node._clients and idle_cid not in node._lent
+        idle_cid = next(c for c in range(node.n_clients) if c not in node._lent)
+        assert node._clients
         gaps = cluster.metrics.reject_gaps
         assert gaps.last_time is None
         node.deliver(replica_address(0), Reject((idle_cid, 1)))
@@ -313,6 +315,90 @@ class TestLending:
         assert len(spent) == 2 and max(spent) > 2 * min(spent)
         budget = n * (cap + rate * horizon)
         assert set(spent.values()) == {int(budget) - 1}
+
+
+class _SilentClient(SimpleNamespace):
+    """A pool object that issues nothing: lending it exercises the draw."""
+
+    def _issue_next(self):
+        pass
+
+
+def silent_node(n_clients):
+    _, node = population_cluster(clients=n_clients)
+    node._pool = [_SilentClient(onr=0) for _ in range(n_clients)]
+    return node
+
+
+class TestCidDraw:
+    def test_a_drawn_id_is_never_lent(self):
+        node = silent_node(8)
+        for lent in range(1, 8):
+            node._lend()
+            assert len(node._lent) == lent  # a new key, not an overwrite
+
+    @pytest.mark.parametrize("free", [0, 1, 2])
+    def test_the_draw_ends_when_one_id_of_three_is_free(self, free):
+        node = silent_node(3)
+        node._lent = {cid: _SilentClient() for cid in range(3) if cid != free}
+        node._lend()
+        assert set(node._lent) == {0, 1, 2}
+
+    def test_the_draw_is_uniform_over_the_free_ids(self):
+        node = silent_node(4)
+        node._lend()
+        (held,) = node._lent
+        draws = 40_000
+        counts = dict.fromkeys(set(range(4)) - {held}, 0)
+        for _ in range(draws):
+            node._lend()
+            (cid,) = set(node._lent) - {held}
+            counts[cid] += 1
+            node.client_finished(node._lent[cid], 0.0, "success")
+        for count in counts.values():
+            assert count / draws == pytest.approx(1 / 3, rel=0.03)
+
+    def test_a_lend_always_finds_a_free_id(self):
+        """Every virtual client is thinking, lent or backing off, so a
+        lend (an arrival that took a thinker, or a backoff re-entry)
+        always finds at least one id free."""
+        cluster, node = population_cluster(
+            clients=50,
+            think_time=0.0001,
+            stop_time=0.5,
+            overrides={"reject_threshold": 45},
+        )
+        entries = []
+        lend = node._lend
+
+        def spying_lend():
+            entries.append(len(node._lent))
+            lend()
+
+        node._lend = spying_lend
+        cluster.run_until(0.5)
+        assert cluster.client_stats()["rejections"] > 0
+        assert len(entries) > 1000
+        # The bound is reached: some lends find exactly one id free.
+        assert max(entries) == node.n_clients - 1
+
+    def test_node_memory_does_not_grow_with_n(self):
+        """A million virtual clients cost the node O(in-flight) memory."""
+        tracemalloc.start()
+        try:
+            cluster, node = population_cluster(
+                clients=1_000_000, think_time=20.0, stop_time=0.1
+            )
+            cluster.run_until(0.1)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert node.arrivals_generated > 1000
+        traces = snapshot.filter_traces(
+            [tracemalloc.Filter(True, aggregate.__file__)]
+        )
+        retained = sum(stat.size for stat in traces.statistics("filename"))
+        assert retained < 2**20
 
 
 # -- determinism across hash seeds -------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for the measurement primitives."""
 
+import itertools
 import math
 
 import pytest
@@ -122,12 +123,69 @@ class TestCounterSeries:
             CounterSeries(0.0)
 
 
+class _EveryGap:
+    """Reference recorder: keeps every gap and scans them all."""
+
+    def __init__(self, times):
+        self.last_time = times[-1] if times else None
+        self.gaps = [(b - a, b) for a, b in zip(times, times[1:])]
+
+    def longest_gap(self, until=None):
+        longest = max((gap for gap, _ in self.gaps), default=0.0)
+        if until is not None and self.last_time is not None:
+            longest = max(longest, until - self.last_time)
+        return longest
+
+    def longest_gap_overlapping(self, start, until=None):
+        longest = 0.0
+        for gap, end in self.gaps:
+            if end >= start:
+                longest = max(longest, gap)
+        if until is not None and self.last_time is not None and until >= start:
+            longest = max(longest, until - self.last_time)
+        return longest
+
+
+_steps = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0))
+_instants = st.floats(min_value=-1.0, max_value=60.0)
+
+
 class TestIntervalRecorder:
     def test_gaps(self):
         recorder = IntervalRecorder()
         for t in (1.0, 2.0, 4.5):
             recorder.record(t)
-        assert recorder.gaps == [1.0, 2.5]
+        assert recorder.longest_gap() == 2.5
+        assert recorder.longest_gap_overlapping(0.0) == 2.5
+        assert recorder.longest_gap_overlapping(2.0) == 2.5
+        assert recorder.longest_gap_overlapping(4.6) == 0.0
+
+    def test_keeps_only_record_setting_gaps(self):
+        recorder = IntervalRecorder()
+        for t in (0.0, 3.0, 4.0, 4.5, 6.5, 7.0, 7.5):
+            recorder.record(t)
+        # Gaps 3, 1, 0.5, 2, 0.5, 0.5: the 1 and the first 0.5 are
+        # beaten by the later 2, the second 0.5 is matched by the third,
+        # and the 2 is what every start in (3, 6.5] sees.
+        assert recorder._gaps == [3.0, 2.0, 0.5]
+        assert recorder._ends == [3.0, 6.5, 7.5]
+        assert recorder.longest_gap_overlapping(3.5) == 2.0
+
+    @given(st.lists(_steps, max_size=40), st.data())
+    def test_queries_equal_a_recorder_that_keeps_every_gap(self, steps, data):
+        times = list(itertools.accumulate(steps))
+        # Starts on a recorded time probe the boundary (end >= start).
+        instants = st.one_of(_instants, st.sampled_from(times)) if times else _instants
+        start = data.draw(instants)
+        until = data.draw(st.one_of(st.none(), instants))
+        recorder = IntervalRecorder()
+        for time in times:
+            recorder.record(time)
+        reference = _EveryGap(times)
+        assert recorder.longest_gap(until) == reference.longest_gap(until)
+        assert recorder.longest_gap_overlapping(
+            start, until
+        ) == reference.longest_gap_overlapping(start, until)
 
     def test_longest_gap(self):
         recorder = IntervalRecorder()
