@@ -51,25 +51,6 @@ def dotted_name(node: ast.AST, imports: dict[str, str]) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-def root_of(node: ast.AST) -> Optional[tuple[str, str]]:
-    """The base of an attribute/subscript chain.
-
-    Returns ``("name", identifier)`` for plain roots, ``("self_attr",
-    attr)`` for chains hanging off ``self.<attr>``, or ``None`` when
-    the chain bottoms out in a call or literal.
-    """
-    seen_attrs: list[str] = []
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        if isinstance(node, ast.Attribute):
-            seen_attrs.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    if node.id == "self" and seen_attrs:
-        return ("self_attr", seen_attrs[-1])
-    return ("name", node.id)
-
-
 def annotation_is_set(node: Optional[ast.AST]) -> bool:
     """Whether a type annotation denotes ``set``/``frozenset``."""
     if node is None:

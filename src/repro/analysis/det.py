@@ -14,6 +14,7 @@ from repro.analysis.astutil import (
     build_import_table,
     dotted_name,
 )
+from repro.analysis.config import ORDER_INSENSITIVE_CONSUMERS
 from repro.analysis.findings import CheckContext, Finding
 
 WALLCLOCK_CALLS = frozenset(
@@ -72,10 +73,6 @@ GLOBAL_RANDOM_CALLS = frozenset(
 )
 
 ENVIRON_MUTATORS = frozenset({"update", "setdefault", "pop", "popitem", "clear"})
-
-_ORDER_INSENSITIVE = frozenset(
-    {"sorted", "len", "min", "max", "sum", "any", "all", "set", "frozenset", "bool"}
-)
 
 _SET_BINOPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 
@@ -201,7 +198,7 @@ class DetVisitor(ast.NodeVisitor):
         if isinstance(node.func, ast.Name):
             if node.func.id in ("list", "tuple") and node.args:
                 self._check_iteration(node.args[0], node)
-            if node.func.id in _ORDER_INSENSITIVE:
+            if node.func.id in ORDER_INSENSITIVE_CONSUMERS:
                 for arg in node.args:
                     self._det5_exempt.add(id(arg))
                     if isinstance(arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):

@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 
 @dataclass
 class Finding:
     """One rule violation at one source location.
 
-    ``source_line`` is the stripped text of the offending line; besides
-    making reports readable it is the baseline's matching context, so
-    suppressions survive line-number drift.
+    ``source_line`` is the stripped text of the offending line.  A
+    finding is suppressed exactly when a pragma on its line gave a
+    reason, which ``suppression_reason`` then carries.
     """
 
     rule: str
@@ -22,13 +21,12 @@ class Finding:
     col: int
     message: str
     source_line: str = ""
-    suppressed_by: Optional[str] = None  # "pragma" | "baseline" | None
     suppression_reason: str = ""
 
     @property
     def active(self) -> bool:
         """Whether this finding still fails the gate."""
-        return self.suppressed_by is None
+        return not self.suppression_reason
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)
@@ -45,7 +43,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "source_line": self.source_line,
-            "suppressed_by": self.suppressed_by,
             "suppression_reason": self.suppression_reason,
         }
 

@@ -10,17 +10,9 @@ mechanically findable:
   default on a ``*Profile``/``*Config``-style class is the sanctioned
   explicit knob and stays allowed; a literal ``f`` is always derived
   state and must come from ``repro.protocols.config.fault_tolerance``.
-* PROTO002 — quorum arithmetic spelled out by hand (``f + 1``,
-  ``2*f + 1``, ``len(...) // 2 + 1``, ``(n - 1) // 2``) instead of
-  ``ProtocolConfig.quorum`` / ``quorum_size`` / ``fault_tolerance``.
 * PROTO003 — hard-coded leader-index patterns: ``view % n`` arithmetic,
   ``replicas[0]``, ``leader == 0`` comparisons.  Leader policy belongs
   to ``ProtocolConfig.leader_of`` (and protocol classes).
-* PROTO004 — a fixed-length literal list/tuple bound to a replica-list
-  name in cluster/experiment/campaign configuration.
-* PROTO005 — crash/partition targets bounded by an integer literal
-  (``randrange(3)``, a literal index into the fault DSL); bounds must
-  derive from ``len(cluster.replicas)`` or the profile's ``n``.
 """
 
 from __future__ import annotations
@@ -37,20 +29,6 @@ DERIVED_NAMES = frozenset({"f", "quorum", "quorum_size", "majority"})
 #: Class-name suffixes marking configuration carriers whose count-name
 #: field defaults are the sanctioned knob.
 CONFIG_CLASS_SUFFIXES = ("Profile", "Config", "Spec", "Options", "Settings")
-#: Fault-DSL entry points whose replica-index arguments must not be
-#: literals (the `at` timestamp comes first and is exempt).
-FAULT_TARGET_METHODS = frozenset(
-    {
-        "crash_replica",
-        "recover_replica",
-        "partition_replicas",
-        "heal_replicas",
-        "slow_replica",
-        "latency_spike",
-    }
-)
-#: Random-draw helpers whose literal bound encodes the cluster size.
-RANDOM_BOUND_FUNCS = frozenset({"randrange", "randint"})
 
 
 def _int_literal(node: ast.AST) -> Optional[int]:
@@ -78,10 +56,6 @@ def _is_count_expr(node: ast.AST) -> bool:
         and isinstance(node.func, ast.Name)
         and node.func.id == "len"
     )
-
-
-def _is_f_expr(node: ast.AST) -> bool:
-    return _terminal_name(node) == "f"
 
 
 def _is_replicaish(node: ast.AST) -> bool:
@@ -154,82 +128,41 @@ class ProtoVisitor(ast.NodeVisitor):
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._check_name_binding(target, node.value)
-        self._check_replica_list(node.targets, node.value)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         self._check_name_binding(node.target, node.value)
-        if node.value is not None:
-            self._check_replica_list([node.target], node.value)
         self.generic_visit(node)
 
-    # -- PROTO002: hand-rolled quorum arithmetic -----------------------
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        self._check_quorum_arithmetic(node)
-        self._check_leader_arithmetic(node)
-        self.generic_visit(node)
-
-    def _check_quorum_arithmetic(self, node: ast.BinOp) -> None:
-        if isinstance(node.op, ast.Add):
-            for side, other in ((node.left, node.right), (node.right, node.left)):
-                if _int_literal(other) != 1:
-                    continue
-                if self._is_quorum_core(side):
-                    self._emit(
-                        "PROTO002",
-                        node,
-                        "hand-rolled quorum arithmetic; use "
-                        "ProtocolConfig.quorum (or "
-                        "repro.protocols.config.quorum_size)",
-                    )
-                    return
-        elif isinstance(node.op, ast.FloorDiv) and _int_literal(node.right) == 2:
-            left = node.left
-            if (
-                isinstance(left, ast.BinOp)
-                and isinstance(left.op, ast.Sub)
-                and _int_literal(left.right) == 1
-                and _is_count_expr(left.left)
-            ):
+    def visit_keyword(self, node: ast.keyword) -> None:
+        # PROTO001 for call keywords: build_config(..., n=3) / f=1.
+        if node.arg in COUNT_NAMES | DERIVED_NAMES:
+            literal = _int_literal(node.value)
+            if literal is not None:
                 self._emit(
-                    "PROTO002",
-                    node,
-                    "hand-rolled fault-tolerance arithmetic; use "
-                    "repro.protocols.config.fault_tolerance",
+                    "PROTO001",
+                    node.value,
+                    f"`{node.arg}={literal}` passes a literal topology "
+                    "parameter; thread it from ProtocolConfig/"
+                    "ClusterProfile",
                 )
-
-    def _is_quorum_core(self, node: ast.AST) -> bool:
-        """f | 2*f | n // 2 | len(...) // 2 — the X of quorum = X + 1."""
-        if _is_f_expr(node):
-            return True
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Mult):
-                pairs = ((node.left, node.right), (node.right, node.left))
-                for lit, other in pairs:
-                    if _int_literal(lit) == 2 and _is_f_expr(other):
-                        return True
-            if isinstance(node.op, ast.FloorDiv):
-                return _int_literal(node.right) == 2 and _is_count_expr(node.left)
-        return False
+        self.generic_visit(node)
 
     # -- PROTO003: hard-coded leader index -----------------------------
 
-    def _check_leader_arithmetic(self, node: ast.BinOp) -> None:
-        if not isinstance(node.op, ast.Mod):
-            return
-        right_is_size = _is_count_expr(node.right) or (
-            isinstance(node.right, ast.Call)
-            and isinstance(node.right.func, ast.Name)
-            and node.right.func.id == "len"
-        )
-        if right_is_size and _mentions(node.left, "view"):
+    def visit_BinOp(self, node: ast.BinOp) -> None:
+        if (
+            isinstance(node.op, ast.Mod)
+            and _is_count_expr(node.right)
+            and _mentions(node.left, "view")
+        ):
             self._emit(
                 "PROTO003",
                 node,
                 "leader-index arithmetic (`view % n`) outside protocol-"
                 "owned policy; use ProtocolConfig.leader_of(view)",
             )
+        self.generic_visit(node)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
         if _is_replicaish(node.value) and _int_literal(node.slice) == 0:
@@ -253,76 +186,6 @@ class ProtoVisitor(ast.NodeVisitor):
                         f"comparing `{name}` against literal 0 hard-codes "
                         "the initial leader; derive it from "
                         "ProtocolConfig.leader_of(view)",
-                    )
-                    break
-        self.generic_visit(node)
-
-    # -- PROTO004: fixed-length replica lists --------------------------
-
-    def _check_replica_list(self, targets: list, value: ast.AST) -> None:
-        if not isinstance(value, (ast.List, ast.Tuple)):
-            return
-        if len(value.elts) < 2 or not all(
-            isinstance(e, ast.Constant) for e in value.elts
-        ):
-            return
-        for target in targets:
-            if _is_replicaish(target) or _terminal_name(target) in (
-                "placement",
-                "members",
-                "peers",
-            ):
-                self._emit(
-                    "PROTO004",
-                    value,
-                    f"fixed {len(value.elts)}-element replica list literal; "
-                    "build it from range(config.n) so the topology scales",
-                )
-                return
-
-    def visit_keyword(self, node: ast.keyword) -> None:
-        # PROTO001 for call keywords: build_config(..., n=3) / f=1.
-        if node.arg in COUNT_NAMES | DERIVED_NAMES:
-            literal = _int_literal(node.value)
-            if literal is not None:
-                self._emit(
-                    "PROTO001",
-                    node.value,
-                    f"`{node.arg}={literal}` passes a literal topology "
-                    "parameter; thread it from ProtocolConfig/"
-                    "ClusterProfile",
-                )
-        if node.arg is not None and (
-            "replica" in node.arg or node.arg in ("placement", "members", "peers")
-        ):
-            self._check_replica_list([ast.Name(id=node.arg)], node.value)
-        self.generic_visit(node)
-
-    # -- PROTO005: literal-bounded fault targets -----------------------
-
-    def visit_Call(self, node: ast.Call) -> None:
-        name = _terminal_name(node.func)
-        if name in RANDOM_BOUND_FUNCS and node.args:
-            bounds = [_int_literal(arg) for arg in node.args]
-            concrete = [b for b in bounds if b is not None]
-            if concrete and max(concrete) >= 2:
-                self._emit(
-                    "PROTO005",
-                    node,
-                    f"`{name}()` draws a replica-sized value from a "
-                    "literal bound; derive the bound from "
-                    "len(cluster.replicas) (or profile.n)",
-                )
-        elif name in FAULT_TARGET_METHODS:
-            # First positional argument is the `at` timestamp.
-            for arg in node.args[1:]:
-                if _int_literal(arg) is not None:
-                    self._emit(
-                        "PROTO005",
-                        arg,
-                        f"literal replica index passed to `{name}()`; "
-                        "use role targets ('leader'/'follower') or an "
-                        "index derived from the cluster size",
                     )
                     break
         self.generic_visit(node)

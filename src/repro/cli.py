@@ -24,8 +24,8 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv[:1] == ["lint"]:
-        # detlint has its own option surface (rule filters, baseline
-        # handling); hand the remaining arguments straight to it.
+        # detlint has its own option surface (rule filters, JSON
+        # report); hand the remaining arguments straight to it.
         from repro.analysis import main as lint_main
 
         return lint_main(argv[1:])

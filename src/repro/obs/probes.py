@@ -33,9 +33,9 @@ its pending-event population.  A halted replica reports only ``up=0``
 
 Observer-purity contract: this module only *reads* protocol state and
 writes to the recorder it owns.  It never schedules events, draws
-randomness, or mutates simulation objects (enforced by detlint's OBS
-rules, which treat every parameter of these functions as simulation
-state).
+randomness, or mutates simulation objects (enforced at run time by
+``tools/overhead_guard.py``, which requires bare, traced and probed runs
+of the same seed to measure identically).
 """
 
 from __future__ import annotations

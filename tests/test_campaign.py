@@ -122,6 +122,18 @@ class TestPlan:
     def test_key_changes_with_payload(self):
         assert sim_job("x", tiny_spec(seed=0)).key != sim_job("x", tiny_spec(seed=1)).key
 
+    def test_key_ignores_payload_key_order(self):
+        # Canonical JSON sorts keys: one payload built in two orders is
+        # one cache entry, at every nesting level.
+        payload = spec_to_payload(tiny_spec(overrides={"reject_threshold": 40}))
+        reordered = {
+            name: dict(reversed(value.items())) if isinstance(value, dict) else value
+            for name, value in reversed(payload.items())
+        }
+        assert reordered == payload
+        assert list(reordered) != list(payload)
+        assert job_key(KIND_SIM, reordered) == job_key(KIND_SIM, payload)
+
     def test_unplannable_specs_raise(self):
         class CustomSchedule(ConstantSchedule):
             """Subclasses are unplannable: a worker cannot rebuild them."""
@@ -431,6 +443,9 @@ class TestCampaignEndToEnd:
             ["fig2", "--scenarios", "x"],
             ["lint", "--changed"],
             ["lint", "--cache-dir", "d"],
+            ["lint", "--sarif", "x"],
+            ["lint", "--baseline", "b"],
+            ["lint", "--update-baseline"],
             ["population", "--validate"],
         ):
             with pytest.raises(SystemExit) as raised:

@@ -404,6 +404,18 @@ class TestChaosRunner:
         horizon = 12.0 - 3.0
         assert all(fault.time <= horizon for fault in plan_a.faults)
 
+    @pytest.mark.parametrize("fault_type", [CrashFault, SlowReplica, LatencySpike])
+    def test_plan_targets_cover_a_five_replica_group(self, fault_type):
+        # Index targets are drawn from the group size, so at n = 5 the
+        # nemesis reaches replicas 3 and 4 too, not only the first three.
+        targets = {
+            fault.target
+            for seed in range(20)
+            for fault in generate_plan(seed, 30.0, 5).faults
+            if type(fault) is fault_type and isinstance(fault.target, int)
+        }
+        assert targets == set(range(5))
+
     def test_chaos_run_is_deterministic(self):
         options = ChaosOptions(system="idem", clients=4, duration=6.0, seed=11)
         first = run_chaos(options).summary()

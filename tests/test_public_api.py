@@ -36,7 +36,8 @@ def test_second_core_and_sharding_are_not_exported():
         "HEADLINE_EXTRACTORS",
         "repro.campaign.baseline": "extract_headlines HEADLINE_EXTRACTORS",
         "repro.net": "MessageTracer TraceFilter TraceRecord",
-        "repro.analysis": "LintCache",
+        "repro.analysis": "LintCache ProjectIndex build_index lint_project "
+        "Baseline BaselineEntry",
         "repro.obs": "resilience_summary",
     }
     for package_name, names in removed.items():
@@ -44,6 +45,10 @@ def test_second_core_and_sharding_are_not_exported():
         for name in names.split():
             assert not hasattr(package, name), f"{package_name}.{name} is back"
     assert importlib.util.find_spec("repro.perf") is None
+    # detlint is one per-file pass with pragmas: no project index, call
+    # graph, hot-path or campaign rules, SARIF writer or baseline file.
+    for module in ("index", "interproc", "perfrule", "sarif", "camp", "baseline"):
+        assert importlib.util.find_spec(f"repro.analysis.{module}") is None, module
     from repro.net import Network
     from repro.sim import EventLoop, RngRegistry
 
