@@ -23,7 +23,8 @@ def default_paths() -> list[Path]:
     return [Path(repro.__file__).parent]
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """detlint's option surface (``repro-experiments lint`` reuses it)."""
     parser = argparse.ArgumentParser(
         prog="repro-experiments lint",
         description="detlint: determinism & purity static analysis (see docs/ANALYSIS.md)",
@@ -60,7 +61,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--verbose", action="store_true", help="also list pragma-suppressed findings"
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.rules:
         print(render_rule_catalog())

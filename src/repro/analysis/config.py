@@ -34,12 +34,8 @@ SIMULATED_PACKAGES = (
     "repro.population",
 )
 
-#: Modules allowed to read os.environ (DET004): the CLI boundary and the
-#: single experiment-settings accessor.
-ENV_READ_ALLOWED = (
-    "repro.cli",
-    "repro.experiments.settings",
-)
+#: Modules allowed to read os.environ (DET004): the CLI boundary.
+ENV_READ_ALLOWED = ("repro.cli",)
 
 #: Composition/configuration layers where topology must stay abstract
 #: (the PROTO family); protocol-owned policy lives outside this scope.

@@ -232,8 +232,7 @@ class DetVisitor(ast.NodeVisitor):
             self._emit(
                 "DET004",
                 node,
-                "environment read outside config/CLI; route it through "
-                "repro.experiments.settings",
+                "environment read outside the CLI; thread the setting explicitly",
             )
         if name == "os.putenv" or name == "os.unsetenv":
             self._emit("DET006", node, f"{name}() mutates the process environment")
@@ -253,8 +252,7 @@ class DetVisitor(ast.NodeVisitor):
                 self._emit(
                     "DET004",
                     node,
-                    "environment read outside config/CLI; route it through "
-                    "repro.experiments.settings",
+                    "environment read outside the CLI; thread the setting explicitly",
                 )
         self.generic_visit(node)
 
@@ -265,8 +263,8 @@ class DetVisitor(ast.NodeVisitor):
                     self._emit(
                         "DET004",
                         node,
-                        "environment membership test outside config/CLI; "
-                        "route it through repro.experiments.settings",
+                        "environment membership test outside the CLI; "
+                        "thread the setting explicitly",
                     )
         self.generic_visit(node)
 

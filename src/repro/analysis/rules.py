@@ -50,10 +50,10 @@ _RULE_LIST = [
     Rule(
         "DET004",
         "DET",
-        "environment read outside config/CLI",
-        "os.environ reads scattered through library code make behaviour "
-        "depend on ambient process state; route them through the "
-        "accessors in repro.experiments.settings (or the CLI).",
+        "environment read outside the CLI",
+        "os.environ reads in library code make behaviour depend on "
+        "ambient process state; thread settings as explicit arguments "
+        "(the CLI is the only boundary allowed to read them).",
     ),
     Rule(
         "DET005",

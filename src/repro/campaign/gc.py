@@ -8,16 +8,13 @@ engine records a small **run manifest** after every campaign
 referenced, stamped with wall time, under ``<cache>/runs/``.
 
 :func:`collect_garbage` then keeps the union of the last ``keep_runs``
-manifests' keys and evicts everything else (plus, optionally, anything
-older than ``max_age_days`` regardless of references).  Two safety
-valves keep it conservative:
+manifests' keys and evicts everything else.  Two safety valves keep it
+conservative:
 
 * with **no manifests on disk** (a cache predating this feature),
-  reference pruning is skipped entirely — only the age cutoff, if
-  given, removes anything;
-* if any manifest inside the keep window is unreadable, reference
-  pruning is likewise skipped for the whole pass, since its references
-  cannot be honoured.
+  nothing is removed;
+* if any manifest inside the keep window is unreadable, nothing is
+  removed either, since its references cannot be honoured.
 
 Wall-clock use is deliberate and sanctioned here: manifests order
 campaign runs in real time and never feed a simulation (``repro.campaign``
@@ -89,8 +86,7 @@ class GcReport:
         ]
         if self.references_unknown:
             lines.append(
-                "gc: no readable run manifests — reference pruning skipped "
-                "(age cutoff only)"
+                "gc: no readable run manifests — reference pruning skipped"
             )
         return "\n".join(lines)
 
@@ -107,23 +103,15 @@ def _load_manifest_keys(path: Path) -> Optional[set[str]]:
     return set(keys)
 
 
-def collect_garbage(
-    cache: ResultCache,
-    keep_runs: int = 5,
-    max_age_days: Optional[float] = None,
-    now: Optional[float] = None,
-) -> GcReport:
+def collect_garbage(cache: ResultCache, keep_runs: int = 5) -> GcReport:
     """Evict cache entries the last ``keep_runs`` campaigns never used.
 
-    An entry is removed when it is unreferenced by every kept manifest,
-    or (independently of references) when ``max_age_days`` is given and
-    the entry's pickle is older than that.  Manifests beyond the keep
-    window are pruned too.  Returns a :class:`GcReport`.
+    An entry is removed when it is unreferenced by every kept manifest.
+    Manifests beyond the keep window are pruned too.  Returns a
+    :class:`GcReport`.
     """
     if keep_runs < 1:
         raise ValueError(f"keep_runs must be >= 1, got {keep_runs}")
-    if now is None:
-        now = time.time()
     report = GcReport()
     root = cache.root
     runs_dir = root / RUNS_DIRNAME
@@ -143,19 +131,10 @@ def collect_garbage(
         referenced.update(keys)
     report.references_unknown = not prune_unreferenced
 
-    cutoff = None if max_age_days is None else now - max_age_days * 86400.0
     for path in sorted(root.glob("*/*.pkl")):
         key = path.stem
         report.examined += 1
-        unreferenced = prune_unreferenced and key not in referenced
-        expired = False
-        if cutoff is not None:
-            try:
-                expired = path.stat().st_mtime < cutoff
-            except OSError:
-                report.kept += 1
-                continue  # evicted concurrently; nothing to reclaim
-        if not (unreferenced or expired):
+        if not prune_unreferenced or key in referenced:
             report.kept += 1
             continue
         entry_bytes = 0

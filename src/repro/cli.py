@@ -2,12 +2,22 @@
 
 Usage::
 
-    repro-experiments fig6                  # one experiment, full settings
-    repro-experiments all --quick           # everything, scaled-down
-    repro-experiments campaign --jobs 4     # parallel, cached campaign
-    repro-experiments campaign --check      # gate paper claims + BENCH_* baselines
-    repro-experiments lint --check          # detlint determinism/purity gate
-    repro-experiments --list
+    repro-experiments list                               # experiment ids
+    repro-experiments campaign --experiments fig6        # one experiment, full settings
+    repro-experiments campaign --quick --jobs 4          # everything, scaled-down
+    repro-experiments campaign --check                   # gate paper claims + BENCH_* baselines
+    repro-experiments gc --cache-dir DIR                 # prune the campaign result cache
+    repro-experiments chaos --seed 3 --duration 8        # seeded fault injection + safety check
+    repro-experiments trace --protocol paxos             # traced run, slowest-request breakdown
+    repro-experiments obs --mode detect --scenario storm # probe series + drift detectors
+    repro-experiments lint --check                       # detlint determinism/purity gate
+
+Every subcommand declares only the flags it reads, so any other flag
+exits 2.  A flag's ``dest`` is the field it sets on the dataclass the
+command builds (:class:`~repro.campaign.CampaignOptions`,
+:class:`~repro.cluster.chaos.ChaosOptions`,
+:class:`~repro.cluster.runner.RunSpec`), and an omitted flag is left
+out of the parsed namespace, so that dataclass holds the only default.
 """
 
 from __future__ import annotations
@@ -15,114 +25,74 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
+from repro.campaign.cache import DEFAULT_CACHE_DIR
+from repro.cluster.runner import RunSpec
 from repro.experiments.registry import EXPERIMENTS
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["lint"]:
-        # detlint has its own option surface (rule filters, JSON
-        # report); hand the remaining arguments straight to it.
-        from repro.analysis import main as lint_main
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command surface; parsing an argv with it runs nothing."""
+    from repro.analysis.__main__ import build_parser as build_lint_parser
 
-        return lint_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the IDEM paper's figures and tables.",
     )
-    parser.add_argument(
-        "experiment",
-        nargs="?",
-        default="all",
-        help=(
-            "experiment id (fig2, fig3, fig6, fig7, tab1, fig8, fig9, fig10, "
-            "figR, figM, abl), "
-            "'all', 'campaign' for a parallel cached campaign, 'chaos' for a "
-            "randomized fault-injection run, 'trace' for a traced run with "
-            "request-lifecycle analysis, 'obs' for a probed run with "
-            "replica-state series and drift detection, or 'lint' for the "
-            "detlint determinism/purity static-analysis pass"
-        ),
+    commands = parser.add_subparsers(metavar="command", required=True)
+
+    def command(name, handler, description, parents=()):
+        sub = commands.add_parser(
+            name,
+            help=description,
+            description=description,
+            parents=list(parents),
+            argument_default=argparse.SUPPRESS,
+        )
+        sub.set_defaults(run=handler)
+        return sub
+
+    command("list", run_list_command, "list the experiment ids and exit")
+
+    campaign = command(
+        "campaign",
+        run_campaign_command,
+        "plan, run (in parallel, against the result cache) and gate experiments",
     )
-    parser.add_argument(
-        "--quick", action="store_true", help="scaled-down settings (faster, coarser)"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument(
-        "--runs",
-        type=int,
-        default=None,
-        help="seeded runs per data point (default: REPRO_RUNS or 2)",
-    )
-    parser.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="measured seconds per steady-state run (default: REPRO_DURATION or 1.0)",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="DIR",
-        default=None,
-        help="also write each experiment's raw data as JSON into DIR",
-    )
-    parser.add_argument(
-        "--list", action="store_true", help="list available experiments and exit"
-    )
-    parser.add_argument(
-        "--protocol",
-        default="idem",
-        help="system to run against (chaos and trace only)",
-    )
-    parser.add_argument(
-        "--clients",
-        type=int,
-        default=20,
-        help="closed-loop clients driving the run (chaos and trace only)",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="DIR",
-        default="traces",
-        help="directory for trace exports (trace only; default: traces/)",
-    )
-    parser.add_argument(
-        "--top",
-        type=int,
-        default=5,
-        help="how many slowest requests to break down (trace only)",
-    )
-    campaign = parser.add_argument_group("campaign options")
     campaign.add_argument(
         "--experiments",
-        default="all",
-        help="comma-separated experiment ids for the campaign (default: all)",
+        type=lambda text: [part for part in text.split(",") if part],
+        help="comma-separated experiment ids (default: all)",
     )
     campaign.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="parallel worker processes (0 = one per CPU; campaign only)",
+        "--quick", action="store_true", help="scaled-down settings (faster, coarser)"
+    )
+    campaign.add_argument("--runs", type=int, help="seeded runs per data point")
+    campaign.add_argument(
+        "--duration", type=float, help="measured seconds per steady-state run"
     )
     campaign.add_argument(
-        "--cache-dir",
-        default="benchmarks/results/cache",
-        help="content-addressed result cache directory (campaign only)",
+        "--seed", dest="seed0", type=int, metavar="SEED", help="base random seed"
+    )
+    campaign.add_argument(
+        "--jobs", type=int, help="parallel worker processes (0 = one per CPU)"
+    )
+    campaign.add_argument(
+        "--cache-dir", help="content-addressed result cache directory"
     )
     campaign.add_argument(
         "--no-cache",
-        action="store_true",
-        help="bypass the result cache entirely (campaign only)",
+        dest="cache_dir",
+        action="store_const",
+        const=None,
+        help="bypass the result cache entirely",
     )
     campaign.add_argument(
         "--verify",
+        dest="verify_fraction",
         type=float,
-        default=0.0,
         metavar="FRACTION",
-        help="re-run this fraction of cache hits and diff them (campaign only)",
+        help="re-run this fraction of cache hits and diff them",
     )
     campaign.add_argument(
         "--check",
@@ -137,115 +107,118 @@ def main(argv: list[str] | None = None) -> int:
         "(refused, exit 1, while any paper claim fails)",
     )
     campaign.add_argument(
-        "--baseline-dir",
-        default="benchmarks/baselines",
-        help="directory holding the BENCH_*.json baselines (campaign only)",
+        "--baseline-dir", help="directory holding the BENCH_*.json baselines"
     )
     campaign.add_argument(
         "--report",
         metavar="PATH",
-        default=None,
         help="write a machine-readable campaign report (JSON) to PATH",
     )
     campaign.add_argument(
         "--slowest",
         type=int,
-        default=0,
         metavar="K",
-        help="list the K most expensive jobs from the per-job profiles "
-        "(campaign only; stderr)",
+        help="list the K most expensive jobs from the per-job profiles (stderr)",
     )
     campaign.add_argument(
-        "--gc",
-        action="store_true",
-        help="garbage-collect the result cache (prune entries no recent "
-        "campaign referenced) and exit without running anything",
+        "--json",
+        dest="json_dir",
+        metavar="DIR",
+        help="also write each experiment's raw data as JSON into DIR",
     )
-    campaign.add_argument(
-        "--gc-keep",
-        type=int,
-        default=5,
-        metavar="N",
-        help="with --gc: keep every entry the last N campaign runs "
-        "referenced (default: 5)",
+
+    gc = command(
+        "gc",
+        run_gc_command,
+        "prune result-cache entries the last campaign runs did not reference",
     )
-    campaign.add_argument(
-        "--gc-max-age-days",
-        type=float,
-        default=None,
-        metavar="DAYS",
-        help="with --gc: additionally remove entries older than DAYS, "
-        "referenced or not",
+    gc.add_argument("--cache-dir", help="content-addressed result cache directory")
+
+    # chaos, trace and obs each run one system: the flags shared by
+    # ChaosOptions and RunSpec.
+    one_run = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    one_run.add_argument("--seed", type=int, help="random seed")
+    one_run.add_argument("--protocol", dest="system", help="system to run against")
+    one_run.add_argument("--clients", type=int, help="closed-loop clients driving the run")
+    one_run.add_argument("--duration", type=float, help="simulated seconds")
+
+    command(
+        "chaos",
+        run_chaos_command,
+        "randomized fault injection with the safety checker; exit 1 on a violation",
+        [one_run],
     )
-    obs = parser.add_argument_group("obs options")
+    trace = command(
+        "trace",
+        run_trace_command,
+        "traced run with request-lifecycle analysis",
+        [one_run],
+    )
+    trace.add_argument("--out", metavar="DIR", help="directory for trace exports")
+    trace.add_argument(
+        "--top", type=int, help="how many slowest requests to break down"
+    )
+    obs = command(
+        "obs",
+        run_obs_command,
+        "probed run with replica-state series and drift detection",
+        [one_run],
+    )
     obs.add_argument(
         "--mode",
         choices=("report", "series", "detect"),
-        default="report",
         help=(
-            "obs only: 'report' prints a per-node series summary plus the "
-            "drift findings, 'series' exports the probe series (JSONL + "
-            "Perfetto counters) into --out, 'detect' runs the drift "
-            "detectors and exits 1 on any finding"
+            "'report' prints a per-node series summary plus the drift "
+            "findings, 'series' exports the probe series (JSONL + Perfetto "
+            "counters) into --out, 'detect' runs the drift detectors and "
+            "exits 1 on any finding"
         ),
     )
     obs.add_argument(
         "--scenario",
         choices=("steady", "storm"),
-        default="steady",
         help=(
-            "obs only: 'steady' probes a closed-loop run of "
-            "--protocol/--clients/--duration, 'storm' probes the figR "
-            "reject-retry storm arm (idem/naive-any; scenario-fixed)"
+            "'steady' probes a closed-loop run of --protocol/--clients/"
+            "--duration, 'storm' probes the figR reject-retry storm arm "
+            "(idem/naive-any; scenario-fixed, takes only --seed)"
         ),
     )
-    args = parser.parse_args(argv)
+    obs.add_argument("--out", metavar="DIR", help="directory for series exports")
 
-    if args.experiment == "chaos":
-        return run_chaos_command(args)
-    if args.experiment == "trace":
-        return run_trace_command(args)
-    if args.experiment == "obs":
-        return run_obs_command(args)
-    if args.experiment == "campaign":
-        return run_campaign_command(args)
+    commands.add_parser(
+        "lint",
+        parents=[build_lint_parser()],
+        add_help=False,
+        help="detlint determinism/purity static-analysis pass",
+    )
+    return parser
 
-    if args.list:
-        for experiment_id, module in EXPERIMENTS.items():
-            headline = (module.__doc__ or "").strip().splitlines()[0]
-            print(f"{experiment_id:6s} {headline}")
-        return 0
 
-    ids = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    if any(experiment_id not in EXPERIMENTS for experiment_id in ids):
-        bad = [i for i in ids if i not in EXPERIMENTS]
-        print(f"unknown experiment(s): {bad}; use --list", file=sys.stderr)
-        return 2
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from repro.analysis import main as lint_main
 
-    for experiment_id in ids:
-        started = time.time()
-        module = EXPERIMENTS[experiment_id]
-        # runs/duration are threaded explicitly (no env-var mutation):
-        # the REPRO_RUNS/REPRO_DURATION environment variables are only
-        # read as defaults when these stay None.
-        data = module.run(
-            quick=args.quick,
-            runs=args.runs,
-            seed0=args.seed,
-            duration=args.duration,
-        )
-        elapsed = time.time() - started
-        print(module.render(data))
-        if args.json:
-            from repro.experiments.io import save_json
+        return lint_main(argv[1:])
+    fields = vars(build_parser().parse_args(argv))
+    return fields.pop("run")(**fields)
 
-            path = save_json(data, f"{args.json}/{experiment_id}.json")
-            print(f"[raw data saved to {path}]")
-        print(f"\n[{experiment_id} finished in {elapsed:.1f}s wall time]\n")
+
+def run_list_command() -> int:
+    """Print one line per registered experiment: its id and headline."""
+    for experiment_id, module in EXPERIMENTS.items():
+        headline = (module.__doc__ or "").strip().splitlines()[0]
+        print(f"{experiment_id:6s} {headline}")
     return 0
 
 
-def run_campaign_command(args) -> int:
+def run_campaign_command(
+    json_dir: str | None = None,
+    report: str | None = None,
+    slowest: int = 0,
+    **fields,
+) -> int:
     """Plan, execute (in parallel, against the cache) and gate a campaign.
 
     stdout carries only the rendered experiment reports — fully
@@ -267,40 +240,8 @@ def run_campaign_command(args) -> int:
     def echo(message: str) -> None:
         print(message, file=sys.stderr)
 
-    if args.gc:
-        from repro.campaign import ResultCache
-        from repro.campaign.gc import collect_garbage
-
-        if args.no_cache:
-            print("campaign: --gc is meaningless with --no-cache", file=sys.stderr)
-            return 2
-        try:
-            report = collect_garbage(
-                ResultCache(args.cache_dir),
-                keep_runs=args.gc_keep,
-                max_age_days=args.gc_max_age_days,
-            )
-        except ValueError as error:  # bad --gc-keep
-            print(f"campaign: {error}", file=sys.stderr)
-            return 2
-        print(report.render())
-        return 0
-
     try:
-        options = CampaignOptions(
-            experiments=[part for part in args.experiments.split(",") if part],
-            quick=args.quick,
-            runs=args.runs,
-            duration=args.duration,
-            seed0=args.seed,
-            jobs=args.jobs,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            verify_fraction=args.verify,
-            check=args.check,
-            update_baselines=args.update_baselines,
-            baseline_dir=args.baseline_dir,
-            echo=echo,
-        )
+        options = CampaignOptions(echo=echo, **fields)
     except ValueError as error:  # negative --jobs
         print(f"campaign: {error}", file=sys.stderr)
         return 2
@@ -317,24 +258,32 @@ def run_campaign_command(args) -> int:
         print(outcome.text)
         print()
     print(render_summary(result), file=sys.stderr)
-    if args.slowest > 0:
-        print(render_slowest(result, args.slowest), file=sys.stderr)
+    if slowest > 0:
+        print(render_slowest(result, slowest), file=sys.stderr)
     print(render_claims(result.claims), file=sys.stderr)
     if result.baseline_report is not None:
         print(result.baseline_report.render(), file=sys.stderr)
-    if args.json:
+    if json_dir:
         from repro.experiments.io import save_json
 
         for outcome in result.outcomes:
-            path = save_json(outcome.data, f"{args.json}/{outcome.experiment_id}.json")
+            path = save_json(outcome.data, f"{json_dir}/{outcome.experiment_id}.json")
             print(f"campaign: raw data saved to {path}", file=sys.stderr)
-    if args.report:
-        path = write_report(args.report, result)
+    if report:
+        path = write_report(report, result)
         print(f"campaign: report written to {path}", file=sys.stderr)
     return result.exit_code
 
 
-def run_chaos_command(args) -> int:
+def run_gc_command(cache_dir: str | os.PathLike = DEFAULT_CACHE_DIR) -> int:
+    """Evict cache entries that no recent campaign run referenced."""
+    from repro.campaign import ResultCache, collect_garbage
+
+    print(collect_garbage(ResultCache(cache_dir)).render())
+    return 0
+
+
+def run_chaos_command(**fields) -> int:
     """Run a seeded chaos campaign; exit 1 on any invariant violation.
 
     The report printed to stdout is fully deterministic for a given
@@ -344,13 +293,7 @@ def run_chaos_command(args) -> int:
     from repro.cluster.chaos import ChaosOptions, run_chaos
 
     try:
-        options = ChaosOptions(
-            system=args.protocol,
-            clients=args.clients,
-            duration=args.duration if args.duration is not None else 30.0,
-            seed=args.seed,
-        )
-        report = run_chaos(options)
+        report = run_chaos(ChaosOptions(**fields))
     except ValueError as error:  # unknown system, bad duration, ...
         print(f"chaos: {error}", file=sys.stderr)
         return 2
@@ -358,7 +301,16 @@ def run_chaos_command(args) -> int:
     return 0 if report.ok else 1
 
 
-def run_trace_command(args) -> int:
+def closed_loop_spec(**fields) -> RunSpec:
+    """The closed-loop :class:`RunSpec` behind ``trace`` and ``obs``.
+
+    The warm-up shrinks to 30 % of a run shorter than one second.
+    """
+    duration = fields.setdefault("duration", RunSpec.duration)
+    return RunSpec(warmup=min(RunSpec.warmup, duration * 0.3), **fields)
+
+
+def run_trace_command(out: str = "traces", top: int = 5, **fields) -> int:
     """Run one traced scenario and emit/summarise its traces.
 
     Writes a JSONL event log and a Chrome trace-event JSON (loadable in
@@ -367,28 +319,20 @@ def run_trace_command(args) -> int:
     reject-reason histogram.  The traced run is byte-identical to an
     untraced run of the same spec (the observer-only invariant).
     """
-    from repro.cluster.runner import RunSpec, run_experiment
+    from repro.cluster.runner import run_experiment
     from repro.obs import render_report, write_chrome_trace, write_jsonl
 
-    duration = args.duration if args.duration is not None else 1.0
     try:
-        spec = RunSpec(
-            system=args.protocol,
-            clients=args.clients,
-            duration=duration,
-            warmup=min(0.3, duration * 0.3),
-            seed=args.seed,
-            observe=True,
-        )
+        spec = closed_loop_spec(observe=True, **fields)
         result = run_experiment(spec)
     except ValueError as error:  # unknown system, bad duration, ...
         print(f"trace: {error}", file=sys.stderr)
         return 2
     hub = result.obs
-    os.makedirs(args.out, exist_ok=True)
-    base = f"{args.protocol}-seed{args.seed}"
-    jsonl_path = os.path.join(args.out, f"{base}.jsonl")
-    chrome_path = os.path.join(args.out, f"{base}.trace.json")
+    os.makedirs(out, exist_ok=True)
+    base = f"{spec.system}-seed{spec.seed}"
+    jsonl_path = os.path.join(out, f"{base}.jsonl")
+    chrome_path = os.path.join(out, f"{base}.trace.json")
     with open(jsonl_path, "w") as stream:
         lines = write_jsonl(hub.tracer, stream)
     with open(chrome_path, "w") as stream:
@@ -397,11 +341,13 @@ def run_trace_command(args) -> int:
     print(f"[{lines} events -> {jsonl_path}]")
     print(f"[{events} Chrome trace events -> {chrome_path}]")
     print()
-    print(render_report(hub.tracer, hub.registry, k=args.top))
+    print(render_report(hub.tracer, hub.registry, k=top))
     return 0
 
 
-def run_obs_command(args) -> int:
+def run_obs_command(
+    mode: str = "report", scenario: str = "steady", out: str = "traces", **fields
+) -> int:
     """Run one probed scenario: replica-state series + drift detection.
 
     ``--mode report`` prints a per-(node, series) summary table and the
@@ -411,11 +357,26 @@ def run_obs_command(args) -> int:
     when there are any (the CI smoke gate).  All output is
     deterministic for a given option set.
     """
-    from repro.cluster.runner import RunSpec, run_experiment
+    from repro.cluster.runner import run_experiment
     from repro.obs import write_series_chrome_trace, write_series_jsonl
 
     try:
-        if args.scenario == "storm":
+        if scenario == "storm":
+            fixed = [
+                flag
+                for dest, flag in (
+                    ("system", "--protocol"),
+                    ("clients", "--clients"),
+                    ("duration", "--duration"),
+                )
+                if dest in fields
+            ]
+            if fixed:
+                print(
+                    f"obs: --scenario storm is scenario-fixed; drop {' '.join(fixed)}",
+                    file=sys.stderr,
+                )
+                return 2
             from repro.experiments.figR_retry_storm import (
                 ANY_RETRY,
                 BASE_OVERRIDES,
@@ -424,21 +385,11 @@ def run_obs_command(args) -> int:
             )
 
             overrides = {**BASE_OVERRIDES, **IDEM_OVERRIDES, **ANY_RETRY}
-            spec = storm_spec(
-                "idem", "naive-any", overrides, args.seed, probes=True
-            )
-            base = f"storm-idem-naive-any-seed{args.seed}"
+            spec = storm_spec("idem", "naive-any", overrides, probes=True, **fields)
+            base = f"storm-idem-naive-any-seed{spec.seed}"
         else:
-            duration = args.duration if args.duration is not None else 1.0
-            spec = RunSpec(
-                system=args.protocol,
-                clients=args.clients,
-                duration=duration,
-                warmup=min(0.3, duration * 0.3),
-                seed=args.seed,
-                probes=True,
-            )
-            base = f"{args.protocol}-seed{args.seed}"
+            spec = closed_loop_spec(probes=True, **fields)
+            base = f"{spec.system}-seed{spec.seed}"
         result = run_experiment(spec)
     except ValueError as error:  # unknown system, bad duration, ...
         print(f"obs: {error}", file=sys.stderr)
@@ -459,10 +410,10 @@ def run_obs_command(args) -> int:
             )
         return "\n".join(lines)
 
-    if args.mode == "series":
-        os.makedirs(args.out, exist_ok=True)
-        jsonl_path = os.path.join(args.out, f"{base}.series.jsonl")
-        perfetto_path = os.path.join(args.out, f"{base}.counters.json")
+    if mode == "series":
+        os.makedirs(out, exist_ok=True)
+        jsonl_path = os.path.join(out, f"{base}.series.jsonl")
+        perfetto_path = os.path.join(out, f"{base}.counters.json")
         with open(jsonl_path, "w") as stream:
             lines = write_series_jsonl(recorder, stream)
         with open(perfetto_path, "w") as stream:
@@ -472,7 +423,7 @@ def run_obs_command(args) -> int:
         print(render_findings_lines())
         return 0
 
-    if args.mode == "detect":
+    if mode == "detect":
         print(render_findings_lines())
         return 1 if findings else 0
 

@@ -27,8 +27,8 @@ from repro.workload.schedule import LoadSchedule
 class RunSpec:
     """A complete description of one experiment run."""
 
-    system: str
-    clients: int
+    system: str = "idem"
+    clients: int = 20
     duration: float = 1.0
     warmup: float = 0.3
     seed: int = 0

@@ -9,6 +9,6 @@ plans, parallelises and caches whole campaigns of them and gates the
 paper's qualitative claims and the committed headline baselines.
 """
 
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment_by_id
+from repro.experiments.registry import EXPERIMENTS, get_experiment
 
-__all__ = ["EXPERIMENTS", "get_experiment", "run_experiment_by_id"]
+__all__ = ["EXPERIMENTS", "get_experiment"]

@@ -2,10 +2,9 @@
 
 Runs are averaged over multiple seeds like the paper averages over three
 runs (Section 7.1).  Durations and run counts scale down in *quick* mode
-(used by the test suite); explicit ``runs``/``duration`` arguments win,
-and environment variables act as default-only fallbacks (``REPRO_RUNS``,
-``REPRO_DURATION`` — read via :mod:`repro.experiments.settings`, the
-single sanctioned environment access point).
+(used by the test suite); explicit ``runs``/``duration`` arguments win
+over :data:`DEFAULT_RUNS` and :data:`DEFAULT_DURATION`, and nothing is
+read from the environment.
 
 Every simulation an experiment needs goes through :func:`execute_run`
 (and :func:`execute_tab1_cell` for Table 1's traffic cells).  By default
@@ -33,12 +32,10 @@ from repro.cluster.metrics import ExperimentResult
 from repro.cluster.profile import ClusterProfile
 from repro.cluster.runner import RunSpec, run_experiment
 
-# Environment access lives in repro.experiments.settings (the single
-# module detlint's DET004 allows to read os.environ); these re-exports
-# keep the long-standing import path working.
-from repro.experiments.settings import default_duration, default_runs
-
-__all__ = ["default_duration", "default_runs"]  # re-exported settings
+#: Seeded runs per data point (the paper averages 3).
+DEFAULT_RUNS = 2
+#: Measured simulated seconds per steady-state run.
+DEFAULT_DURATION = 1.0
 
 
 class ExperimentExecutor(Protocol):
@@ -135,8 +132,8 @@ def point_specs(
     warm-up, profile) are resolved, so the campaign planner and the
     inline execution path always agree on the exact specs of a point.
     """
-    runs = runs or default_runs()
-    duration = duration or default_duration()
+    runs = runs or DEFAULT_RUNS
+    duration = duration or DEFAULT_DURATION
     warmup = warmup if warmup is not None else min(0.3, duration / 3)
     profile = profile or ClusterProfile()
     return [

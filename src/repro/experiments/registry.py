@@ -17,15 +17,15 @@ Every experiment module exposes the same interface:
   one place that says what a figure shows and whether it still does.
 
 ``runs`` and ``duration`` are explicit arguments (no process-global
-state): the ``REPRO_RUNS``/``REPRO_DURATION`` environment variables act
-only as default fallbacks inside ``experiments.common`` when the
-arguments are left as ``None``.
+state); left as ``None`` they fall back to the constants
+``experiments.common.DEFAULT_RUNS``/``DEFAULT_DURATION``.  ``run`` is the
+inline reference; ``repro-experiments campaign`` runs the same modules
+in parallel against the result cache, with byte-identical reports.
 """
 
 from __future__ import annotations
 
 from types import ModuleType
-from typing import Optional
 
 from repro.experiments import (
     ablations,
@@ -64,21 +64,3 @@ def get_experiment(experiment_id: str) -> ModuleType:
             f"unknown experiment {experiment_id!r}; choose from {sorted(EXPERIMENTS)}"
         )
     return module
-
-
-def run_experiment_by_id(
-    experiment_id: str,
-    quick: bool = False,
-    seed0: int = 0,
-    runs: Optional[int] = None,
-    duration: Optional[float] = None,
-) -> str:
-    """Run one experiment and return its rendered report.
-
-    ``runs`` and ``duration`` override the per-experiment defaults and
-    reach ``experiments.common`` explicitly (not via environment
-    variables), so concurrent callers cannot race on global state.
-    """
-    module = get_experiment(experiment_id)
-    data = module.run(quick=quick, runs=runs, seed0=seed0, duration=duration)
-    return module.render(data)

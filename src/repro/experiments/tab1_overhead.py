@@ -8,9 +8,9 @@ completes successfully — rejected operations must be retried and their
 traffic still counts, which is exactly what makes this a real overhead
 test for the rejection mechanism.
 
-We scale the request count down (default 200,000, override with
-``REPRO_TAB1_REQUESTS``); traffic per request is count-invariant, and we
-also report the projection to the paper's 1M requests for comparison.
+We scale the request count down to :data:`REQUESTS` (200,000); traffic
+per request is count-invariant, and we also report the projection to the
+paper's 1M requests for comparison.
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.builder import build_cluster
-from repro.experiments import common, settings
+from repro.experiments import common
 
 LOADS = [("medium (0.5x)", 25), ("high (1x)", 50), ("overload (4x)", 200)]
 SYSTEMS = ["idem-nopr", "idem"]
 TIME_CAP = 120.0  # simulated seconds; generous safety bound
+REQUESTS = 200_000  # completed requests per cell (paper: 1,000,000)
+QUICK_REQUESTS = 20_000
 
 
 @dataclass
@@ -64,12 +66,6 @@ class Tab1Data:
         raise KeyError((system, load_label))
 
 
-def default_requests(quick: bool) -> int:
-    if quick:
-        return 20_000
-    return settings.tab1_requests()
-
-
 def measure_cell(
     system: str, load_label: str, clients: int, target: int, seed: int
 ) -> Tab1Cell:
@@ -96,7 +92,7 @@ def measure_cell(
 
 def plan_cells(quick: bool = False, seed0: int = 0) -> list[dict]:
     """The independent cell jobs behind :func:`run` (campaign planner)."""
-    target = default_requests(quick)
+    target = QUICK_REQUESTS if quick else REQUESTS
     return [
         dict(
             system=system,

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import lint_paths, lint_source, main
-from repro.analysis.config import rule_applies, rules_for_module
+from repro.analysis.config import ENV_READ_ALLOWED, rule_applies, rules_for_module
 from repro.analysis.engine import module_name_for
 from repro.analysis.rules import RULES
 
@@ -75,9 +75,8 @@ FIXTURES = {
             return int(os.environ.get("REPRO_RUNS", "2"))
         """,
         """\
-        from repro.experiments.settings import default_runs
-        def runs():
-            return default_runs()
+        def runs(runs: int = 2):
+            return runs
         """,
     ),
     "DET005": (
@@ -206,8 +205,8 @@ def test_scopes_follow_the_architecture():
     assert rule_applies("DET001", "repro.sim.loop")
     assert not rule_applies("DET001", "repro.cli")
     assert not rule_applies("DET001", "repro.campaign.engine")
-    # DET004 exempts exactly the CLI and the settings accessor.
-    assert not rule_applies("DET004", "repro.experiments.settings")
+    # DET004 exempts exactly the CLI.
+    assert ENV_READ_ALLOWED == ("repro.cli",)
     assert not rule_applies("DET004", "repro.cli")
     assert rule_applies("DET004", "repro.experiments.common")
     # Prefixes match whole dotted segments.

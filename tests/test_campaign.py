@@ -231,7 +231,7 @@ class TestCache:
     ):
         """An older checkout's `--shards` left "sim-shard" entries and
         manifests behind.  The kind is part of the key, so no sim job
-        resolves to one, and --gc reclaims them past the keep window."""
+        resolves to one, and `gc` reclaims them past the keep window."""
         from repro.campaign import record_run
         from repro.campaign.plan import Job
         from repro.cli import main
@@ -248,9 +248,10 @@ class TestCache:
         _, stats = execute_jobs([current], workers=1, cache=cache)
         assert stats.cache_hits == 0 and stats.executed == 1
 
-        record_run(cache.root, [current.key], started=2000.0)
-        argv = ["campaign", "--gc", "--gc-keep", "1", "--cache-dir", str(tmp_path)]
-        assert main(argv) == 0
+        # Five newer runs fill the default keep window.
+        for started in (2000.0, 3000.0, 4000.0, 5000.0, 6000.0):
+            record_run(cache.root, [current.key], started=started)
+        assert main(["gc", "--cache-dir", str(tmp_path)]) == 0
         assert "removed 1" in capsys.readouterr().out
         assert not cache.contains(old.key)
         assert cache.contains(current.key)
@@ -356,9 +357,12 @@ class TestCampaignEndToEnd:
         ]
         assert main(argv + ["--update-baselines"]) == 0
         capsys.readouterr()
-        assert main(argv + ["--check"]) == 0
+        raw_dir = tmp_path / "raw"
+        assert main(argv + ["--check", "--json", str(raw_dir)]) == 0
         err = capsys.readouterr().err
         assert "=> PASS" in err and "claims: 3/3 hold" in err
+        raw = json.loads((raw_dir / "fig7.json").read_text())
+        assert {point["system"] for point in raw["points"]} == {"idem"}
 
         path = baseline_path(baseline_dir, "fig7")
         document = json.loads(path.read_text())
@@ -437,24 +441,28 @@ class TestCampaignEndToEnd:
     ):
         from repro.cli import main
 
-        for argv in (
-            ["--sim-core", "array", "fig2"],
-            ["campaign", "--shards", "4"],
-            ["fig2", "--scenarios", "x"],
-            ["lint", "--changed"],
-            ["lint", "--cache-dir", "d"],
-            ["lint", "--sarif", "x"],
-            ["lint", "--baseline", "b"],
-            ["lint", "--update-baseline"],
-            ["population", "--validate"],
+        for argv, message in (
+            (["--sim-core", "array", "fig2"], "invalid choice: 'array'"),
+            (["campaign", "--shards", "4"], "unrecognized arguments"),
+            (["fig2", "--scenarios", "x"], "invalid choice: 'fig2'"),
+            (["lint", "--changed"], "unrecognized arguments"),
+            (["lint", "--cache-dir", "d"], "unrecognized arguments"),
+            (["lint", "--sarif", "x"], "unrecognized arguments"),
+            (["lint", "--baseline", "b"], "unrecognized arguments"),
+            (["lint", "--update-baseline"], "unrecognized arguments"),
+            (["population", "--validate"], "invalid choice: 'population'"),
+            (["perf"], "invalid choice: 'perf'"),
+            (["population"], "invalid choice: 'population'"),
+            # The inline figure mode and the campaign's gc flags.
+            (["fig6"], "invalid choice: 'fig6'"),
+            (["all"], "invalid choice: 'all'"),
+            (["--list"], "required: command"),
+            (["campaign", "--gc"], "unrecognized arguments: --gc"),
         ):
             with pytest.raises(SystemExit) as raised:
                 main(argv)
             assert raised.value.code == 2
-            assert "unrecognized arguments" in capsys.readouterr().err
-        for mode in ("perf", "population"):
-            assert main([mode]) == 2
-            assert f"unknown experiment(s): ['{mode}']" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
 
         def traced() -> str:
             argv = ["trace", "--clients", "2", "--duration", "0.3"]

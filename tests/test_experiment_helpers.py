@@ -43,51 +43,64 @@ class TestJainFairness:
         assert jain_fairness([float(count) for count in successes]) >= 0.9
 
 
+
+def tiny_spec(seed0=0):
+    from repro.cluster.runner import RunSpec
+
+    return RunSpec(clients=2, duration=0.3, warmup=0.1, seed=seed0)
+
+
+class StubExperiment:
+    """The experiment-module interface, over one tiny simulation."""
+
+    def __init__(self, name, ran=None):
+        self.__doc__ = f"Stub {name}."
+        self.name = name
+        self.ran = ran if ran is not None else []
+
+    def plan_runs(self, quick=False, runs=None, seed0=0, duration=None):
+        return [tiny_spec(seed0)]
+
+    def run(self, quick=False, runs=None, seed0=0, duration=None):
+        from repro.experiments import common
+
+        self.ran.append(self.name)
+        result = common.execute_run(tiny_spec(seed0))
+        return {"quick": quick, "seed": seed0, "successes": result.client_stats["successes"]}
+
+    def render(self, data):
+        return f"STUB {self.name} quick={data['quick']} seed={data['seed']}"
+
+    def headlines(self, data):
+        return {}
+
+    def claims(self, data):
+        return []
+
+
 class TestCliRun:
     def test_running_a_single_experiment_prints_its_report(self, capsys, monkeypatch):
-        """The CLI executes an experiment module end-to-end (stubbed)."""
+        """`campaign --experiments <id>` runs one module end to end."""
         from repro import cli
         from repro.experiments import registry
 
-        class FakeModule:
-            __doc__ = "Fake experiment."
-
-            @staticmethod
-            def run(quick=False, runs=None, seed0=0, duration=None):
-                return {"quick": quick, "seed": seed0}
-
-            @staticmethod
-            def render(data):
-                return f"FAKE REPORT quick={data['quick']} seed={data['seed']}"
-
-        monkeypatch.setitem(registry.EXPERIMENTS, "fake", FakeModule)
-        assert cli.main(["fake", "--quick", "--seed", "3"]) == 0
+        monkeypatch.setitem(registry.EXPERIMENTS, "fake", StubExperiment("fake"))
+        argv = ["campaign", "--experiments", "fake", "--quick", "--seed", "3"]
+        assert cli.main(argv + ["--no-cache", "--jobs", "1"]) == 0
         out = capsys.readouterr().out
-        assert "FAKE REPORT quick=True seed=3" in out
-        assert "[fake finished" in out
+        assert out == "STUB fake quick=True seed=3\n\n"
 
     def test_all_runs_every_registered_experiment(self, capsys, monkeypatch):
+        """`campaign` without a selection runs every registered module."""
         from repro import cli
+        from repro.campaign import engine
         from repro.experiments import registry
 
         ran = []
-
-        class Stub:
-            __doc__ = "Stub."
-
-            def __init__(self, name):
-                self.name = name
-
-            def run(self, quick=False, runs=None, seed0=0, duration=None):
-                ran.append(self.name)
-                return None
-
-            def render(self, data):
-                return f"report {self.name}"
-
-        monkeypatch.setattr(
-            registry, "EXPERIMENTS", {"a": Stub("a"), "b": Stub("b")}
-        )
-        monkeypatch.setattr(cli, "EXPERIMENTS", registry.EXPERIMENTS)
-        assert cli.main(["all"]) == 0
+        stubs = {name: StubExperiment(name, ran) for name in ("a", "b")}
+        monkeypatch.setattr(registry, "EXPERIMENTS", stubs)
+        monkeypatch.setattr(engine, "EXPERIMENTS", stubs)
+        assert cli.main(["campaign", "--no-cache", "--jobs", "1"]) == 0
         assert ran == ["a", "b"]
+        out = capsys.readouterr().out
+        assert out == "STUB a quick=False seed=0\n\nSTUB b quick=False seed=0\n\n"

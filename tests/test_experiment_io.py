@@ -54,21 +54,15 @@ class TestSaveJson:
         assert loaded["clients"] == 50
 
     def test_cli_json_flag(self, tmp_path, capsys, monkeypatch):
+        """`campaign --json DIR` writes each experiment's raw data."""
         from repro import cli
         from repro.experiments import registry
 
-        class FakeModule:
-            __doc__ = "Fake."
+        from tests.test_experiment_helpers import StubExperiment
 
-            @staticmethod
-            def run(quick=False, runs=None, seed0=0, duration=None):
-                return make_point()
-
-            @staticmethod
-            def render(data):
-                return "fake"
-
-        monkeypatch.setitem(registry.EXPERIMENTS, "fakejson", FakeModule)
-        assert cli.main(["fakejson", "--json", str(tmp_path)]) == 0
+        monkeypatch.setitem(registry.EXPERIMENTS, "fakejson", StubExperiment("fakejson"))
+        argv = ["campaign", "--experiments", "fakejson", "--seed", "4"]
+        argv += ["--no-cache", "--jobs", "1", "--json", str(tmp_path)]
+        assert cli.main(argv) == 0
         loaded = json.loads((tmp_path / "fakejson.json").read_text())
-        assert loaded["system"] == "idem"
+        assert loaded["seed"] == 4 and loaded["successes"] > 0

@@ -39,12 +39,17 @@ def test_second_core_and_sharding_are_not_exported():
         "repro.analysis": "LintCache ProjectIndex build_index lint_project "
         "Baseline BaselineEntry",
         "repro.obs": "resilience_summary",
+        "repro.experiments": "run_experiment_by_id",
+        "repro.experiments.registry": "run_experiment_by_id",
+        "repro.experiments.common": "default_runs default_duration",
     }
     for package_name, names in removed.items():
         package = importlib.import_module(package_name)
         for name in names.split():
             assert not hasattr(package, name), f"{package_name}.{name} is back"
     assert importlib.util.find_spec("repro.perf") is None
+    # One command surface: no environment-backed settings module.
+    assert importlib.util.find_spec("repro.experiments.settings") is None
     # detlint is one per-file pass with pragmas: no project index, call
     # graph, hot-path or campaign rules, SARIF writer or baseline file.
     for module in ("index", "interproc", "perfrule", "sarif", "camp", "baseline"):
@@ -86,7 +91,7 @@ def test_experiment_registry_matches_cli_listing(capsys):
     from repro.cli import main
     from repro.experiments import EXPERIMENTS
 
-    main(["--list"])
+    assert main(["list"]) == 0
     out = capsys.readouterr().out
     for experiment_id in EXPERIMENTS:
         assert experiment_id in out

@@ -398,17 +398,6 @@ class TestGarbageCollection:
         assert report.manifests_kept == 2 and report.manifests_removed == 1
         assert report.removed == 0  # all entries still referenced
 
-    def test_age_cutoff_removes_regardless_of_references(
-        self, tmp_path, gc_result
-    ):
-        cache, keys = _fill_cache(tmp_path, gc_result, range(2))
-        record_run(cache.root, keys, started=1000.0)
-        future = 10 * 86400.0
-        for path in cache.root.glob("*/*.pkl"):
-            os.utime(path, (1.0, 1.0))
-        report = collect_garbage(cache, keep_runs=5, max_age_days=1.0, now=future)
-        assert report.removed == 2
-
     def test_keep_runs_must_be_positive(self, tmp_path, gc_result):
         cache, _ = _fill_cache(tmp_path, gc_result, range(1))
         with pytest.raises(ValueError):
