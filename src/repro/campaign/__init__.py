@@ -29,7 +29,6 @@ from repro.campaign.baseline import (
 from repro.campaign.cache import MISS, ResultCache, result_fingerprint, should_verify
 from repro.campaign.gc import GcReport, collect_garbage, record_run
 from repro.campaign.engine import (
-    CampaignExecutor,
     CampaignOptions,
     CampaignResult,
     ExperimentOutcome,
@@ -42,13 +41,14 @@ from repro.campaign.plan import (
     UnplannableSpec,
     job_key,
     payload_to_spec,
-    plan_campaign,
     plan_experiment,
+    plan_jobs,
     spec_to_payload,
 )
 from repro.campaign.pool import (
     CacheVerificationError,
     ExecutionStats,
+    JobFailed,
     execute_jobs,
     execute_payload,
     job_profile,
@@ -65,13 +65,13 @@ __all__ = [
     "BaselineReport",
     "CACHE_SCHEMA",
     "CacheVerificationError",
-    "CampaignExecutor",
     "CampaignOptions",
     "CampaignResult",
     "ExecutionStats",
     "ExperimentOutcome",
     "GcReport",
     "Job",
+    "JobFailed",
     "MISS",
     "ResultCache",
     "UnplannableSpec",
@@ -83,8 +83,8 @@ __all__ = [
     "job_profile",
     "load_baseline",
     "payload_to_spec",
-    "plan_campaign",
     "plan_experiment",
+    "plan_jobs",
     "record_run",
     "render_slowest",
     "render_summary",

@@ -1,18 +1,19 @@
-"""The campaign engine: plan → execute → aggregate → gate.
+"""The campaign engine: plan once → execute → assemble → gate.
 
 A campaign run has four phases:
 
-1. **Plan** — expand the experiment selection into independent jobs
+1. **Plan** — ask each selected experiment module for its grid,
+   ``plan()``, and wrap every entry into a content-addressed job
    (:mod:`repro.campaign.plan`).
 2. **Execute** — resolve each distinct job against the content-addressed
    cache, fan the misses out over the process pool, spot-verify a sample
    of hits (:mod:`repro.campaign.pool` / :mod:`repro.campaign.cache`).
-3. **Aggregate** — run each experiment's *unchanged serial* ``run()``
-   with a :class:`CampaignExecutor` installed, so every simulation it
-   asks for is served from the pre-computed result map.  Output is
-   therefore byte-identical to the serial path by construction.
+3. **Assemble** — hand each experiment its own plan and the results of
+   its jobs, looked up by key, in plan order: ``assemble(plan,
+   results)`` is a pure reduction, so the output is byte-identical
+   whatever the worker count, scheduling order or cache state.
 4. **Gate** — ask each experiment module for its verdict on the data
-   just aggregated (no further simulation): ``claims(data)``, the
+   just assembled (no further simulation): ``claims(data)``, the
    paper's qualitative claims, and ``headlines(data)``, compared with
    the committed ``BENCH_*.json`` baselines
    (:mod:`repro.campaign.baseline`).  Under ``--check`` a claim that
@@ -31,62 +32,10 @@ from typing import Any, Callable, Optional
 from repro.campaign import baseline as baseline_mod
 from repro.campaign.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.campaign.gc import record_run
-from repro.campaign.plan import (
-    KIND_CELL,
-    KIND_SIM,
-    UnplannableSpec,
-    job_key,
-    plan_campaign,
-    spec_to_payload,
-)
-from repro.campaign.pool import ExecutionStats, execute_jobs, execute_payload
-from repro.cluster.metrics import ExperimentResult
-from repro.cluster.runner import RunSpec, run_experiment
+from repro.campaign.plan import plan_jobs
+from repro.campaign.pool import ExecutionStats, execute_jobs
 from repro.experiments import common
 from repro.experiments.registry import EXPERIMENTS, get_experiment
-
-
-class CampaignExecutor:
-    """Serves experiment jobs from a pre-computed result map.
-
-    Installed via :func:`repro.experiments.common.use_executor` for the
-    aggregation phase.  A request the plan did not cover (plan drift, or
-    a spec that cannot be serialised) runs inline and is counted in
-    ``stats.inline_misses`` so tests can assert full plan coverage.
-    """
-
-    def __init__(
-        self,
-        results: dict[str, Any],
-        stats: ExecutionStats,
-        cache: Optional[ResultCache] = None,
-    ):
-        self.results = results
-        self.stats = stats
-        self.cache = cache
-
-    def _resolve(self, kind: str, payload: dict[str, Any], fallback) -> Any:
-        key = job_key(kind, payload)
-        if key in self.results:
-            return self.results[key]
-        result = fallback()
-        self.stats.inline_misses += 1
-        self.results[key] = result
-        return result
-
-    def run_spec(self, spec: RunSpec) -> ExperimentResult:
-        try:
-            payload = spec_to_payload(spec)
-        except UnplannableSpec:
-            self.stats.inline_misses += 1
-            return run_experiment(spec)
-        return self._resolve(KIND_SIM, payload, lambda: run_experiment(spec))
-
-    def run_cell(self, kwargs: dict[str, Any]) -> Any:
-        payload = dict(kwargs)
-        return self._resolve(
-            KIND_CELL, payload, lambda: execute_payload(KIND_CELL, payload)
-        )
 
 
 @dataclass
@@ -109,6 +58,10 @@ class CampaignOptions:
     def __post_init__(self) -> None:
         if self.jobs < 0:
             raise ValueError(f"jobs must be >= 0 (0 = one per CPU), got {self.jobs}")
+        if self.runs is not None and self.runs < 1:
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if self.duration is not None and self.duration <= 0:
+            raise ValueError(f"duration must be > 0, got {self.duration}")
 
     def resolved_jobs(self) -> int:
         return self.jobs or os.cpu_count() or 1
@@ -189,13 +142,20 @@ def run_campaign(options: CampaignOptions) -> CampaignResult:
     ids = resolve_experiment_ids(options.experiments)
 
     plan_started = time.perf_counter()
-    jobs = plan_campaign(
-        ids,
-        quick=options.quick,
-        runs=options.runs,
-        seed0=options.seed0,
-        duration=options.duration,
-    )
+    plans = {
+        experiment_id: get_experiment(experiment_id).plan(
+            quick=options.quick,
+            runs=options.runs,
+            seed0=options.seed0,
+            duration=options.duration,
+        )
+        for experiment_id in ids
+    }
+    grids = {
+        experiment_id: plan_jobs(experiment_id, plan)
+        for experiment_id, plan in plans.items()
+    }
+    jobs = [job for grid in grids.values() for cell in grid for job in cell]
     plan_seconds = time.perf_counter() - plan_started
     echo(
         f"campaign: planned {len(jobs)} job(s) across {len(ids)} experiment(s) "
@@ -218,25 +178,21 @@ def run_campaign(options: CampaignOptions) -> CampaignResult:
 
     aggregate_started = time.perf_counter()
     outcomes: list[ExperimentOutcome] = []
-    executor = CampaignExecutor(results, stats, cache)
-    with common.use_executor(executor):
-        for experiment_id in ids:
-            module = get_experiment(experiment_id)
-            data = module.run(
-                quick=options.quick,
-                runs=options.runs,
-                seed0=options.seed0,
-                duration=options.duration,
+    for experiment_id in ids:
+        module = get_experiment(experiment_id)
+        data = module.assemble(
+            plans[experiment_id],
+            [[results[job.key] for job in cell] for cell in grids[experiment_id]],
+        )
+        outcomes.append(
+            ExperimentOutcome(
+                experiment_id=experiment_id,
+                data=data,
+                text=module.render(data),
+                headlines=module.headlines(data),
+                claims=module.claims(data),
             )
-            outcomes.append(
-                ExperimentOutcome(
-                    experiment_id=experiment_id,
-                    data=data,
-                    text=module.render(data),
-                    headlines=module.headlines(data),
-                    claims=module.claims(data),
-                )
-            )
+        )
     stats.aggregate_seconds = time.perf_counter() - aggregate_started
 
     result = CampaignResult(options=options, outcomes=outcomes, stats=stats)

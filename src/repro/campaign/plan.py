@@ -1,14 +1,13 @@
-"""Campaign planning: expand an experiment selection into a job DAG.
+"""Campaign planning: turn each experiment's plan into jobs.
 
 Every figure/table of the paper decomposes into fully independent,
 deterministic jobs — either one seeded simulation run (a
 :class:`~repro.cluster.runner.RunSpec`) or one Table 1 traffic cell.
-The planner asks each experiment module for the specs behind its
-``run()`` (``plan_runs``/``plan_cells``) and wraps them into
-:class:`Job` objects with a *content-addressed key*: the SHA-256 of the
-canonicalised job payload plus the ``repro`` package version and the
-cache schema version.  Two jobs with the same key are the same
-computation, so
+Each experiment module states its grid once, in ``plan()``; the planner
+wraps every entry of it into a :class:`Job` with a *content-addressed
+key*: the SHA-256 of the canonicalised job payload plus the ``repro``
+package version and the cache schema version.  Two jobs with the same
+key are the same computation, so
 
 * identical specs shared by several experiments (e.g. the 2x/8x idem
   points of Figures 7 and 9b) execute once per campaign, and
@@ -39,6 +38,7 @@ from repro.cluster.faults import (
 )
 from repro.cluster.profile import ClusterProfile
 from repro.cluster.runner import RunSpec
+from repro.experiments.common import Plan
 from repro.experiments.registry import get_experiment
 from repro.population.spec import PopulationSpec
 from repro.workload.open_loop import ArrivalSpec
@@ -96,8 +96,8 @@ _SCHEDULE_TYPES = {
 
 
 class UnplannableSpec(ValueError):
-    """The spec uses features the campaign cannot serialise (and hence
-    cannot key, distribute or cache); it must run inline instead."""
+    """The spec uses features the campaign cannot serialise, and hence
+    cannot key, distribute or cache; no experiment may plan it."""
 
 
 @dataclass(frozen=True)
@@ -317,6 +317,23 @@ def cell_job(experiment_id: str, kwargs: dict[str, Any]) -> Job:
     )
 
 
+def plan_jobs(experiment_id: str, plan: Plan) -> list[list[Job]]:
+    """The job behind every entry of an experiment's plan, cell by cell.
+
+    A :class:`RunSpec` becomes a sim job; anything else is a Table 1
+    cell's ``measure_cell`` kwargs.
+    """
+    return [
+        [
+            sim_job(experiment_id, item)
+            if isinstance(item, RunSpec)
+            else cell_job(experiment_id, item)
+            for item in items
+        ]
+        for _label, items in plan
+    ]
+
+
 def plan_experiment(
     experiment_id: str,
     quick: bool = False,
@@ -324,38 +341,8 @@ def plan_experiment(
     seed0: int = 0,
     duration: Optional[float] = None,
 ) -> list[Job]:
-    """All jobs one experiment needs, in its execution order."""
-    module = get_experiment(experiment_id)
-    jobs: list[Job] = []
-    if hasattr(module, "plan_cells"):
-        for kwargs in module.plan_cells(quick=quick, seed0=seed0):
-            jobs.append(cell_job(experiment_id, kwargs))
-    if hasattr(module, "plan_runs"):
-        for spec in module.plan_runs(
-            quick=quick, runs=runs, seed0=seed0, duration=duration
-        ):
-            jobs.append(sim_job(experiment_id, spec))
-    if not jobs:
-        raise UnplannableSpec(
-            f"experiment {experiment_id!r} declares no plan_runs/plan_cells"
-        )
-    return jobs
-
-
-def plan_campaign(
-    experiment_ids: list[str],
-    quick: bool = False,
-    runs: Optional[int] = None,
-    seed0: int = 0,
-    duration: Optional[float] = None,
-) -> list[Job]:
-    """All jobs of a campaign, in experiment order (duplicates included;
-    the executor dedups by key)."""
-    jobs: list[Job] = []
-    for experiment_id in experiment_ids:
-        jobs.extend(
-            plan_experiment(
-                experiment_id, quick=quick, runs=runs, seed0=seed0, duration=duration
-            )
-        )
-    return jobs
+    """All jobs one experiment needs, in its plan's order."""
+    plan = get_experiment(experiment_id).plan(
+        quick=quick, runs=runs, seed0=seed0, duration=duration
+    )
+    return [job for cell in plan_jobs(experiment_id, plan) for job in cell]

@@ -5,15 +5,16 @@ disk cache, and the remaining misses fan out over a
 ``multiprocessing``-``spawn`` process pool (workers import ``repro``
 fresh from the job payload — no state is inherited from the parent
 beyond ``sys.path``).  The merge is *deterministic by construction*:
-results land in a dict keyed by job hash, and the experiments'
-unchanged serial aggregation code consumes them in its own order — so
-campaign output is byte-identical regardless of scheduling order or
-worker count.
+results land in a dict keyed by job hash, and each experiment's pure
+``assemble`` reads them back in its own plan's order — so campaign
+output is byte-identical regardless of scheduling order or worker count.
+``execute_jobs(jobs, workers=1, cache=None)`` is the serial reference.
 
 If the platform cannot provide a process pool (sandboxes without
 semaphores, 1-CPU containers where it is pointless), execution falls
 back to in-process serial with a note on ``echo`` — results are
-identical either way.
+identical either way.  A job that raises is not a pool failure: it
+surfaces as :class:`JobFailed`, naming the job.
 """
 
 from __future__ import annotations
@@ -31,6 +32,18 @@ from repro.campaign.plan import KIND_CELL, KIND_SIM, Job, payload_to_spec
 
 class CacheVerificationError(RuntimeError):
     """A cached result differed from a fresh run of the same job."""
+
+
+class JobFailed(RuntimeError):
+    """A job raised; the message names its label and key, and the job's
+    own exception is chained as ``__cause__``."""
+
+    def __init__(self, job: Job, error: BaseException):
+        super().__init__(
+            f"job {job.label} (key {job.key[:12]}) failed: "
+            f"{type(error).__name__}: {error}"
+        )
+        self.job = job
 
 
 def execute_payload(kind: str, payload: dict[str, Any]) -> Any:
@@ -104,7 +117,6 @@ class ExecutionStats:
     stored: int = 0  # results written to the cache
     verified: int = 0  # cache hits re-run by the spot checker
     verify_failures: int = 0
-    inline_misses: int = 0  # aggregation-time runs the plan did not cover
     workers: int = 1  # pool width actually used (1 = serial)
     pool_fallback: bool = False  # pool unavailable, ran serial instead
     cache_entries: int = 0  # results on disk after the run
@@ -204,7 +216,10 @@ def _execute_pending(
 
 def _execute_one(job: Job, stats: ExecutionStats) -> tuple[Any, float]:
     started = time.perf_counter()
-    result = execute_payload(job.kind, dict(job.payload))
+    try:
+        result = execute_payload(job.kind, dict(job.payload))
+    except Exception as error:
+        raise JobFailed(job, error) from error
     wall_seconds = time.perf_counter() - started
     stats.executed += 1
     return result, wall_seconds
@@ -213,22 +228,36 @@ def _execute_one(job: Job, stats: ExecutionStats) -> tuple[Any, float]:
 def _execute_parallel(
     pending: list[Job], stats: ExecutionStats, echo: Callable[[str], None]
 ) -> dict[str, tuple[Any, float]]:
-    """Fan the pending jobs out over a spawn pool; keyed merge."""
-    items = [(job.key, job.kind, dict(job.payload)) for job in pending]
-    by_key = {job.key: job for job in pending}
+    """Fan the pending jobs out over a spawn pool; keyed merge.
+
+    A dead worker surfaces as :class:`BrokenProcessPool` (the caller
+    falls back to serial); a job that raises cancels what has not
+    started and surfaces as :class:`JobFailed`.
+    """
     executed: dict[str, tuple[Any, float]] = {}
     context = get_context("spawn")
     with ProcessPoolExecutor(
-        max_workers=min(stats.workers, len(items)), mp_context=context
+        max_workers=min(stats.workers, len(pending)), mp_context=context
     ) as pool:
-        futures = {pool.submit(_pool_worker, item) for item in items}
-        while futures:
-            done, futures = wait(futures, return_when=FIRST_COMPLETED)
+        futures = {
+            pool.submit(_pool_worker, (job.key, job.kind, dict(job.payload))): job
+            for job in pending
+        }
+        waiting = set(futures)
+        while waiting:
+            done, waiting = wait(waiting, return_when=FIRST_COMPLETED)
             for future in done:
-                key, result, wall_seconds = future.result()
+                job = futures[future]
+                try:
+                    key, result, wall_seconds = future.result()
+                except BrokenProcessPool:
+                    raise
+                except Exception as error:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    raise JobFailed(job, error) from error
                 executed[key] = (result, wall_seconds)
                 stats.executed += 1
-                echo(f"campaign: finished {by_key[key].label}")
+                echo(f"campaign: finished {job.label}")
     return executed
 
 

@@ -54,11 +54,6 @@ def render_summary(result: CampaignResult) -> str:
             f"  verified    : {stats.verified} spot-check(s), "
             f"{stats.verify_failures} failure(s)"
         )
-    if stats.inline_misses:
-        lines.append(
-            f"  plan drift  : {stats.inline_misses} job(s) ran inline "
-            "(not covered by the plan)"
-        )
     lines.append(
         f"  wall time   : plan {stats.plan_seconds:.2f}s, "
         f"execute {stats.execute_seconds:.2f}s, "
@@ -150,7 +145,6 @@ def report_jsonable(result: CampaignResult) -> dict[str, Any]:
             "stored": stats.stored,
             "verified": stats.verified,
             "verify_failures": stats.verify_failures,
-            "inline_misses": stats.inline_misses,
             "workers": stats.workers,
             "pool_fallback": stats.pool_fallback,
             "cache_entries": stats.cache_entries,

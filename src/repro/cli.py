@@ -230,6 +230,7 @@ def run_campaign_command(
     from repro.campaign import (
         CacheVerificationError,
         CampaignOptions,
+        JobFailed,
         render_slowest,
         render_summary,
         run_campaign,
@@ -242,7 +243,7 @@ def run_campaign_command(
 
     try:
         options = CampaignOptions(echo=echo, **fields)
-    except ValueError as error:  # negative --jobs
+    except ValueError as error:  # negative --jobs, --runs < 1, --duration <= 0
         print(f"campaign: {error}", file=sys.stderr)
         return 2
     try:
@@ -250,7 +251,7 @@ def run_campaign_command(
     except KeyError as error:
         print(f"campaign: {error.args[0]}", file=sys.stderr)
         return 2
-    except CacheVerificationError as error:
+    except (CacheVerificationError, JobFailed) as error:
         print(f"campaign: {error}", file=sys.stderr)
         return 1
 

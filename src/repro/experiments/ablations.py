@@ -7,9 +7,9 @@ the leader's batch size, optimistic vs pessimistic clients (Section
 and AQM vs plain tail drop with all replicas alive (Section 5.1; the
 difference only matters in the f+1 regime of Figure 10).
 
-Scenario-fixed like Figure 10: ``quick``, ``runs`` and ``duration`` are
-accepted for interface uniformity but ignored — every arm is one
-calibrated operating point, not a sweep that can be thinned.
+Scenario-fixed like Figure 10: every arm is one calibrated operating
+point, not a sweep that can be thinned, so :func:`plan` reads only
+``seed0``.
 """
 
 from __future__ import annotations
@@ -50,8 +50,13 @@ class AblData:
         raise KeyError((ablation, value))
 
 
-def _plan(seed0: int) -> list[tuple[str, str, list[RunSpec]]]:
-    """Every arm as (ablation, value label, its seeded specs)."""
+def plan(
+    quick: bool = False,
+    runs: int | None = None,
+    seed0: int = 0,
+    duration: float | None = None,
+) -> common.Plan:
+    """Every arm as ``((ablation, value label), its seeded specs)``."""
 
     def one(system: str, **overrides: Any) -> list[RunSpec]:
         return [
@@ -71,35 +76,23 @@ def _plan(seed0: int) -> list[tuple[str, str, list[RunSpec]]]:
         )
 
     return [
-        *(("batch_size", str(b), one("idem", batch_max=b)) for b in (4, 32, 128)),
-        ("client_strategy", "optimistic", one("idem")),
-        ("client_strategy", "pessimistic", one("idem-pessimistic")),
+        *((("batch_size", str(b)), one("idem", batch_max=b)) for b in (4, 32, 128)),
+        (("client_strategy", "optimistic"), one("idem")),
+        (("client_strategy", "pessimistic"), one("idem-pessimistic")),
         *(
-            ("forward_timeout", f"{t * 1e3:.0f}ms", one("idem", forward_timeout=t))
+            (("forward_timeout", f"{t * 1e3:.0f}ms"), one("idem", forward_timeout=t))
             for t in (0.002, 0.010, 0.040)
         ),
         *(
-            ("reject_cache", str(size), one("idem", rejected_cache_size=size))
+            (("reject_cache", str(size)), one("idem", rejected_cache_size=size))
             for size in (256, 0)
         ),
-        ("aqm", "aqm", two("idem")),
-        ("aqm", "taildrop", two("idem-noaqm")),
+        (("aqm", "aqm"), two("idem")),
+        (("aqm", "taildrop"), two("idem-noaqm")),
     ]
 
 
-def plan_runs(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-) -> list[RunSpec]:
-    """The independent simulation specs behind :func:`run` (campaign planner)."""
-    return [spec for _ablation, _value, specs in _plan(seed0) for spec in specs]
-
-
-def _measure(ablation: str, value: str, specs: list[RunSpec]) -> Arm:
-    results = [common.execute_run(spec) for spec in specs]
-
+def _arm(ablation: str, value: str, results: list) -> Arm:
     def mean(metric) -> float:
         return sum(metric(result) for result in results) / len(results)
 
@@ -115,14 +108,9 @@ def _measure(ablation: str, value: str, specs: list[RunSpec]) -> Arm:
     )
 
 
-def run(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-) -> AblData:
-    """Measure every ablation arm."""
-    return AblData([_measure(*arm) for arm in _plan(seed0)])
+def assemble(plan: common.Plan, results: list) -> AblData:
+    """Average every arm over its seeded results."""
+    return AblData([_arm(*label, cell) for (label, _specs), cell in zip(plan, results)])
 
 
 def render(data: AblData) -> str:

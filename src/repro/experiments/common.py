@@ -1,18 +1,18 @@
 """Shared machinery for the experiment suite.
 
-Runs are averaged over multiple seeds like the paper averages over three
-runs (Section 7.1).  Durations and run counts scale down in *quick* mode
-(used by the test suite); explicit ``runs``/``duration`` arguments win
-over :data:`DEFAULT_RUNS` and :data:`DEFAULT_DURATION`, and nothing is
-read from the environment.
+Every figure of the paper is a grid of seeded runs averaged per point
+(Section 7.1).  Each experiment module states its grid once, as a
+:data:`Plan`: ``plan(quick, runs, seed0, duration)`` returns the
+figure's cells as ``(label, jobs)`` pairs, and a pure ``assemble(plan,
+results)`` builds the figure's data from ``results[i][j]``, the result
+of ``plan[i][1][j]``.  ``repro.campaign`` executes the jobs (in
+parallel, against its content-addressed cache) and calls ``assemble``,
+so nothing here simulates anything.
 
-Every simulation an experiment needs goes through :func:`execute_run`
-(and :func:`execute_tab1_cell` for Table 1's traffic cells).  By default
-these execute inline; the campaign engine (``repro.campaign``) installs
-an executor via :func:`use_executor` to serve results from its parallel,
-content-addressed job store instead.  Experiments therefore stay plain
-serial code — the aggregation order, and hence the rendered output, is
-identical whether results are computed inline or fanned out.
+Durations and run counts scale down in *quick* mode (used by the test
+suite); explicit ``runs``/``duration`` arguments win over
+:data:`DEFAULT_RUNS` and :data:`DEFAULT_DURATION`, and nothing is read
+from the environment.
 
 A figure's verdict lives beside its data: every experiment module
 returns a list of :class:`Claim` from ``claims(data)`` — the paper's
@@ -23,66 +23,22 @@ them as the paper-vs-measured table ``campaign`` prints and gates on.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Protocol
+from typing import Any, Optional
 
 from repro.cluster.faults import FaultSchedule
 from repro.cluster.metrics import ExperimentResult
 from repro.cluster.profile import ClusterProfile
-from repro.cluster.runner import RunSpec, run_experiment
+from repro.cluster.runner import RunSpec
 
 #: Seeded runs per data point (the paper averages 3).
 DEFAULT_RUNS = 2
 #: Measured simulated seconds per steady-state run.
 DEFAULT_DURATION = 1.0
 
-
-class ExperimentExecutor(Protocol):
-    """Where experiment jobs actually run (inline by default).
-
-    ``repro.campaign`` provides implementations that serve results from
-    a process pool and a content-addressed cache.
-    """
-
-    def run_spec(self, spec: RunSpec) -> ExperimentResult:
-        """Produce the result of one seeded simulation run."""
-        ...
-
-    def run_cell(self, kwargs: dict[str, Any]) -> Any:
-        """Produce one Table 1 traffic cell (``tab1_overhead.measure_cell``)."""
-        ...
-
-
-_executor: Optional[ExperimentExecutor] = None
-
-
-@contextmanager
-def use_executor(executor: ExperimentExecutor) -> Iterator[ExperimentExecutor]:
-    """Route :func:`execute_run`/:func:`execute_tab1_cell` through ``executor``."""
-    global _executor
-    previous = _executor
-    _executor = executor
-    try:
-        yield executor
-    finally:
-        _executor = previous
-
-
-def execute_run(spec: RunSpec) -> ExperimentResult:
-    """Execute one run, through the installed executor if there is one."""
-    if _executor is not None:
-        return _executor.run_spec(spec)
-    return run_experiment(spec)
-
-
-def execute_tab1_cell(**kwargs: Any) -> Any:
-    """Execute one Table 1 cell, through the installed executor if any."""
-    if _executor is not None:
-        return _executor.run_cell(dict(kwargs))
-    from repro.experiments.tab1_overhead import measure_cell
-
-    return measure_cell(**kwargs)
+#: An experiment's grid: ``(label, jobs)`` cells, where a job is a
+#: :class:`RunSpec` or, for Table 1, a ``measure_cell`` kwargs dict.
+Plan = list[tuple[Any, list[Any]]]
 
 
 @dataclass
@@ -129,11 +85,10 @@ def point_specs(
     """The ``runs`` seeded specs behind one averaged data point.
 
     This is the single place where sweep defaults (run count, duration,
-    warm-up, profile) are resolved, so the campaign planner and the
-    inline execution path always agree on the exact specs of a point.
+    warm-up, profile) are resolved.
     """
-    runs = runs or DEFAULT_RUNS
-    duration = duration or DEFAULT_DURATION
+    runs = DEFAULT_RUNS if runs is None else runs
+    duration = DEFAULT_DURATION if duration is None else duration
     warmup = warmup if warmup is not None else min(0.3, duration / 3)
     profile = profile or ClusterProfile()
     return [
@@ -151,45 +106,31 @@ def point_specs(
     ]
 
 
-def sweep_specs(
+def sweep(
     system: str,
     client_counts: list[int],
+    quick: bool = False,
+    runs: Optional[int] = None,
+    label: Any = None,
     **kwargs: Any,
-) -> list[RunSpec]:
-    """All specs of a sweep, in execution order (campaign planning)."""
+) -> Plan:
+    """One plan cell per client count: ``(label, the point's specs)``.
+
+    ``label`` defaults to ``system``; a quick sweep defaults to one run
+    per point, a full one to :data:`DEFAULT_RUNS`.
+    """
+    if runs is None:
+        runs = 1 if quick else DEFAULT_RUNS
     return [
-        spec
+        (system if label is None else label, point_specs(system, clients, runs, **kwargs))
         for clients in client_counts
-        for spec in point_specs(system, clients, **kwargs)
     ]
 
 
-def averaged_point(
-    system: str,
-    clients: int,
-    runs: Optional[int] = None,
-    duration: Optional[float] = None,
-    warmup: Optional[float] = None,
-    seed0: int = 0,
-    overrides: Optional[dict[str, Any]] = None,
-    profile: Optional[ClusterProfile] = None,
-    faults: Optional[FaultSchedule] = None,
-) -> Point:
-    """Run ``runs`` seeded simulations and average the paper's metrics."""
-    specs = point_specs(
-        system,
-        clients,
-        runs=runs,
-        duration=duration,
-        warmup=warmup,
-        seed0=seed0,
-        overrides=overrides,
-        profile=profile,
-        faults=faults,
-    )
-    profile = specs[0].profile or ClusterProfile()
-    runs = len(specs)
-    results = [execute_run(spec) for spec in specs]
+def point(specs: list[RunSpec], results: list[ExperimentResult]) -> Point:
+    """Average one data point's seeded results into the paper's metrics."""
+    first = specs[0]
+    profile = first.profile or ClusterProfile()
     throughputs = [result.throughput for result in results]
     latencies = [result.latency.mean * 1e3 for result in results]
     latency_stds = [result.latency.std * 1e3 for result in results]
@@ -197,9 +138,9 @@ def averaged_point(
     reject_lats = [result.reject_latency.mean * 1e3 for result in results]
     reject_stds = [result.reject_latency.std * 1e3 for result in results]
     return Point(
-        system=system,
-        clients=clients,
-        load_factor=clients / profile.baseline_clients,
+        system=first.system,
+        clients=first.clients,
+        load_factor=first.clients / profile.baseline_clients,
         throughput=_mean(throughputs),
         throughput_std=_spread(throughputs),
         latency_ms=_mean(latencies),
@@ -208,17 +149,16 @@ def averaged_point(
         reject_latency_ms=_mean(reject_lats),
         reject_latency_std_ms=_mean(reject_stds),
         timeouts=sum(result.timeouts for result in results),
-        runs=runs,
+        runs=len(specs),
     )
 
 
-def sweep(
-    system: str,
-    client_counts: list[int],
-    **kwargs: Any,
-) -> list[Point]:
-    """One averaged point per client count."""
-    return [averaged_point(system, clients, **kwargs) for clients in client_counts]
+def curves(plan: Plan, results: list[list[ExperimentResult]]) -> dict[Any, list[Point]]:
+    """A sweep plan's averaged points, grouped by cell label in plan order."""
+    grouped: dict[Any, list[Point]] = {}
+    for (label, specs), cell in zip(plan, results):
+        grouped.setdefault(label, []).append(point(specs, cell))
+    return grouped
 
 
 def jain_fairness(shares: list[float]) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.faults import FaultSchedule
+from repro.cluster.metrics import ExperimentResult
 from repro.cluster.runner import RunSpec
 from repro.experiments import common
 from repro.experiments.charts import timeline_sparkline
@@ -80,34 +81,26 @@ def timeline_spec(
     )
 
 
-def measure_timeline(
-    system: str,
-    clients: int,
-    target: str,
-    duration: float,
-    crash_time: float,
-    seed: int = 0,
-    bucket_width: float = 0.25,
-) -> TimelineRun:
-    """Run one crash scenario and extract its timelines."""
-    spec = timeline_spec(
-        system, clients, target, duration, crash_time, seed, bucket_width
-    )
-    result = common.execute_run(spec)
+def measure_timeline(spec: RunSpec, result: ExperimentResult) -> TimelineRun:
+    """Extract the timelines of one crash scenario's result."""
+    crash = spec.faults.faults[0]
+    crash_time, duration = crash.time, spec.duration
     metrics = result.metrics
     throughput_series = metrics.reply_counter.series()
     latency_series = [
         (time, value * 1e3) for time, value in metrics.latency_timeline()
     ]
-    service_gap = _longest_outage(throughput_series, crash_time, duration, bucket_width)
+    service_gap = _longest_outage(
+        throughput_series, crash_time, duration, spec.bucket_width
+    )
     reject_downtime = metrics.reject_gaps.longest_gap_overlapping(
         crash_time, until=duration
     )
     settle = crash_time + 2.5  # skip the view-change transient
     return TimelineRun(
-        system=system,
-        clients=clients,
-        target=target,
+        system=spec.system,
+        clients=spec.clients,
+        target=crash.target,
         crash_time=crash_time,
         duration=duration,
         throughput_series=throughput_series,
@@ -174,19 +167,21 @@ class Fig10Data:
         raise KeyError((system, clients, target))
 
 
-def _cases(quick: bool):
-    """Scenario-fixed settings: (duration, crash_time, abc_cases, d_cases)."""
-    duration = 6.5 if quick else 9.0
-    crash_time = 2.5 if quick else 3.5
+def plan(
+    quick: bool = False,
+    runs: int | None = None,
+    seed0: int = 0,
+    duration: float | None = None,
+) -> common.Plan:
+    """One single-run cell per crash scenario, labelled with its panel
+    (``"abc"`` or ``"d"``).
+
+    The timelines are scenario-fixed: ``runs`` and ``duration`` do not
+    apply to them.
+    """
     if quick:
-        abc_cases = [
-            ("idem", 100, "leader"),
-            ("idem-noaqm", 100, "leader"),
-        ]
-        d_cases = [
-            ("idem", 150, "leader"),
-            ("paxos-lbr", 150, "leader"),
-        ]
+        abc_cases = [("idem", 100, "leader"), ("idem-noaqm", 100, "leader")]
+        d_cases = [("idem", 150, "leader"), ("paxos-lbr", 150, "leader")]
     else:
         abc_cases = [
             (system, clients, target)
@@ -199,48 +194,21 @@ def _cases(quick: bool):
             for system in ("idem", "paxos-lbr")
             for target in ("leader", "follower")
         ]
-    return duration, crash_time, abc_cases, d_cases
-
-
-def plan_runs(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-) -> list[RunSpec]:
-    """The independent simulation specs behind :func:`run` (campaign planner).
-
-    ``runs`` and ``duration`` are accepted for interface uniformity but
-    ignored: the crash timelines are scenario-fixed single runs.
-    """
-    scenario_duration, crash_time, abc_cases, d_cases = _cases(quick)
+    scenario_duration = 6.5 if quick else 9.0
+    crash_time = 2.5 if quick else 3.5
     return [
-        timeline_spec(system, clients, target, scenario_duration, crash_time, seed0)
-        for system, clients, target in abc_cases + d_cases
+        (panel, [timeline_spec(*case, scenario_duration, crash_time, seed0)])
+        for panel, cases in (("abc", abc_cases), ("d", d_cases))
+        for case in cases
     ]
 
 
-def run(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-) -> Fig10Data:
-    """Measure all crash timelines.
-
-    ``runs`` and ``duration`` are accepted for interface uniformity but
-    ignored (scenario-fixed timeline runs).
-    """
-    duration, crash_time, abc_cases, d_cases = _cases(quick)
-    panels_abc = [
-        measure_timeline(system, clients, target, duration, crash_time, seed=seed0)
-        for system, clients, target in abc_cases
-    ]
-    panel_d = [
-        measure_timeline(system, clients, target, duration, crash_time, seed=seed0)
-        for system, clients, target in d_cases
-    ]
-    return Fig10Data(panels_abc, panel_d)
+def assemble(plan: common.Plan, results: list) -> Fig10Data:
+    """Every crash timeline, split into its panels."""
+    panels: dict[str, list[TimelineRun]] = {"abc": [], "d": []}
+    for (panel, [spec]), [result] in zip(plan, results):
+        panels[panel].append(measure_timeline(spec, result))
+    return Fig10Data(panels["abc"], panels["d"])
 
 
 def render(data: Fig10Data) -> str:

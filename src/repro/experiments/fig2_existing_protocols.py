@@ -40,32 +40,20 @@ class Fig2Data:
         return self.points[-1]
 
 
-def _settings(quick: bool, runs: int | None) -> tuple[list[int], int | None]:
+def plan(
+    quick: bool = False,
+    runs: int | None = None,
+    seed0: int = 0,
+    duration: float | None = None,
+) -> common.Plan:
+    """One cell per client count: the seeded Paxos specs of that point."""
     clients = QUICK_CLIENTS if quick else FULL_CLIENTS
-    return clients, runs or (1 if quick else None)
+    return common.sweep("paxos", clients, quick, runs, seed0=seed0, duration=duration)
 
 
-def plan_runs(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-):
-    """The independent simulation specs behind :func:`run` (campaign planner)."""
-    clients, runs = _settings(quick, runs)
-    return common.sweep_specs("paxos", clients, runs=runs, seed0=seed0, duration=duration)
-
-
-def run(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-) -> Fig2Data:
-    """Measure the Paxos curve of Figure 2."""
-    clients, runs = _settings(quick, runs)
-    points = common.sweep("paxos", clients, runs=runs, seed0=seed0, duration=duration)
-    return Fig2Data(points)
+def assemble(plan: common.Plan, results: list) -> Fig2Data:
+    """The Paxos curve of Figure 2."""
+    return Fig2Data(common.curves(plan, results)["paxos"])
 
 
 def render(data: Fig2Data) -> str:

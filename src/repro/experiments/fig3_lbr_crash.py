@@ -31,15 +31,22 @@ class Fig3Data:
     safety_violations: list[str] = field(default_factory=list)
 
 
-def _spec(quick: bool, seed0: int) -> tuple[RunSpec, float]:
-    """The single crash-timeline spec of this experiment (plus crash time)."""
-    duration = 6.0 if quick else 9.0
+def plan(
+    quick: bool = False,
+    runs: int | None = None,
+    seed0: int = 0,
+    duration: float | None = None,
+) -> common.Plan:
+    """The single crash-timeline run, labelled with its crash time.
+
+    The timeline is scenario-fixed: ``runs`` and ``duration`` do not
+    apply to it.
+    """
     crash_time = 2.5 if quick else 3.5
-    clients = 150  # well past the leader's rejection threshold
     spec = RunSpec(
         system="paxos-lbr",
-        clients=clients,
-        duration=duration,
+        clients=150,  # well past the leader's rejection threshold
+        duration=6.0 if quick else 9.0,
         warmup=0.5,
         seed=seed0,
         faults=FaultSchedule().crash_leader(crash_time),
@@ -47,38 +54,14 @@ def _spec(quick: bool, seed0: int) -> tuple[RunSpec, float]:
         bucket_width=0.25,
         safety=True,
     )
-    return spec, crash_time
+    return [(crash_time, [spec])]
 
 
-def plan_runs(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-) -> list[RunSpec]:
-    """The independent simulation specs behind :func:`run` (campaign planner).
-
-    ``runs`` and ``duration`` are accepted for interface uniformity but
-    ignored: the crash timeline is a single scenario-fixed run.
-    """
-    spec, _ = _spec(quick, seed0)
-    return [spec]
-
-
-def run(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-) -> Fig3Data:
-    """Run the Paxos_LBR leader-crash experiment.
-
-    ``runs`` and ``duration`` are accepted for interface uniformity but
-    ignored (single scenario-fixed timeline run).
-    """
-    spec, crash_time = _spec(quick, seed0)
+def assemble(plan: common.Plan, results: list) -> Fig3Data:
+    """The reject timeline of the Paxos_LBR leader-crash run."""
+    [(crash_time, [spec])] = plan
+    [[result]] = results
     duration = spec.duration
-    result = common.execute_run(spec)
     metrics = result.metrics
     return Fig3Data(
         crash_time=crash_time,

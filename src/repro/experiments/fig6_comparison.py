@@ -43,41 +43,24 @@ class Fig6Data:
         return points[-1].latency_ms
 
 
-def _settings(quick: bool, runs: int | None) -> tuple[list[int], int | None]:
-    clients = QUICK_CLIENTS if quick else FULL_CLIENTS
-    return clients, runs or (1 if quick else None)
-
-
-def plan_runs(
+def plan(
     quick: bool = False,
     runs: int | None = None,
     seed0: int = 0,
     duration: float | None = None,
-):
-    """The independent simulation specs behind :func:`run` (campaign planner)."""
-    clients, runs = _settings(quick, runs)
+) -> common.Plan:
+    """One cell per (system, client count), labelled with the system."""
+    clients = QUICK_CLIENTS if quick else FULL_CLIENTS
     return [
-        spec
+        cell
         for system in SYSTEMS
-        for spec in common.sweep_specs(
-            system, clients, runs=runs, seed0=seed0, duration=duration
-        )
+        for cell in common.sweep(system, clients, quick, runs, seed0=seed0, duration=duration)
     ]
 
 
-def run(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-) -> Fig6Data:
-    """Measure all four systems' curves."""
-    clients, runs = _settings(quick, runs)
-    curves = {
-        system: common.sweep(system, clients, runs=runs, seed0=seed0, duration=duration)
-        for system in SYSTEMS
-    }
-    return Fig6Data(curves)
+def assemble(plan: common.Plan, results: list) -> Fig6Data:
+    """All four systems' curves."""
+    return Fig6Data(common.curves(plan, results))
 
 
 def render(data: Fig6Data) -> str:

@@ -31,31 +31,19 @@ class Fig7Data:
         raise KeyError(f"no point at load factor {factor}")
 
 
-def _settings(quick: bool, runs: int | None) -> tuple[list[int], int | None]:
-    factors = QUICK_FACTORS if quick else FULL_FACTORS
-    return [50 * factor for factor in factors], runs or (1 if quick else None)
-
-
-def plan_runs(
+def plan(
     quick: bool = False,
     runs: int | None = None,
     seed0: int = 0,
     duration: float | None = None,
-):
-    """The independent simulation specs behind :func:`run` (campaign planner)."""
-    clients, runs = _settings(quick, runs)
-    return common.sweep_specs("idem", clients, runs=runs, seed0=seed0, duration=duration)
+) -> common.Plan:
+    """One cell per load factor: the seeded IDEM specs of that point."""
+    clients = [50 * factor for factor in (QUICK_FACTORS if quick else FULL_FACTORS)]
+    return common.sweep("idem", clients, quick, runs, seed0=seed0, duration=duration)
 
 
-def run(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-) -> Fig7Data:
-    clients, runs = _settings(quick, runs)
-    points = common.sweep("idem", clients, runs=runs, seed0=seed0, duration=duration)
-    return Fig7Data(points)
+def assemble(plan: common.Plan, results: list) -> Fig7Data:
+    return Fig7Data(common.curves(plan, results)["idem"])
 
 
 def render(data: Fig7Data) -> str:

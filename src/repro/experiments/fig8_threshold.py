@@ -34,27 +34,23 @@ class Fig8Data:
         return self.curves[threshold][-1].latency_ms
 
 
-def _settings(quick: bool, runs: int | None) -> tuple[list[int], list[int], int | None]:
-    thresholds = QUICK_THRESHOLDS if quick else FULL_THRESHOLDS
-    clients = QUICK_CLIENTS if quick else FULL_CLIENTS
-    return thresholds, clients, runs or (1 if quick else None)
-
-
-def plan_runs(
+def plan(
     quick: bool = False,
     runs: int | None = None,
     seed0: int = 0,
     duration: float | None = None,
-):
-    """The independent simulation specs behind :func:`run` (campaign planner)."""
-    thresholds, clients, runs = _settings(quick, runs)
+) -> common.Plan:
+    """One cell per (threshold, client count), labelled with the threshold."""
+    clients = QUICK_CLIENTS if quick else FULL_CLIENTS
     return [
-        spec
-        for threshold in thresholds
-        for spec in common.sweep_specs(
+        cell
+        for threshold in (QUICK_THRESHOLDS if quick else FULL_THRESHOLDS)
+        for cell in common.sweep(
             "idem",
             clients,
-            runs=runs,
+            quick,
+            runs,
+            label=threshold,
             seed0=seed0,
             duration=duration,
             overrides={"reject_threshold": threshold},
@@ -62,25 +58,8 @@ def plan_runs(
     ]
 
 
-def run(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-) -> Fig8Data:
-    thresholds, clients, runs = _settings(quick, runs)
-    curves = {
-        threshold: common.sweep(
-            "idem",
-            clients,
-            runs=runs,
-            seed0=seed0,
-            duration=duration,
-            overrides={"reject_threshold": threshold},
-        )
-        for threshold in thresholds
-    }
-    return Fig8Data(curves)
+def assemble(plan: common.Plan, results: list) -> Fig8Data:
+    return Fig8Data(common.curves(plan, results))
 
 
 def render(data: Fig8Data) -> str:

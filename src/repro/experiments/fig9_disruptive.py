@@ -44,59 +44,39 @@ class Fig9Data:
         return self.extreme[-1]
 
 
-def _settings(quick: bool, runs: int | None) -> tuple[list[int], list[int], int | None]:
-    misconfig_factors = QUICK_MISCONFIG if quick else MISCONFIG_FACTORS
-    extreme_factors = QUICK_EXTREME if quick else EXTREME_FACTORS
-    return (
-        [50 * factor for factor in misconfig_factors],
-        [50 * factor for factor in extreme_factors],
-        runs or (1 if quick else None),
-    )
-
-
-def plan_runs(
+def plan(
     quick: bool = False,
     runs: int | None = None,
     seed0: int = 0,
     duration: float | None = None,
-):
-    """The independent simulation specs behind :func:`run` (campaign planner)."""
-    misconfig_clients, extreme_clients, runs = _settings(quick, runs)
-    return common.sweep_specs(
+) -> common.Plan:
+    """Panel a's cells (RT=100, label ``"misconfigured"``), then panel b's
+    (label ``"extreme"``)."""
+    misconfig = QUICK_MISCONFIG if quick else MISCONFIG_FACTORS
+    extreme = QUICK_EXTREME if quick else EXTREME_FACTORS
+    return common.sweep(
         "idem",
-        misconfig_clients,
-        runs=runs,
+        [50 * factor for factor in misconfig],
+        quick,
+        runs,
+        label="misconfigured",
         seed0=seed0,
         duration=duration,
         overrides={"reject_threshold": 100},
-    ) + common.sweep_specs(
-        "idem", extreme_clients, runs=runs, seed0=seed0, duration=duration
-    )
-
-
-def run(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-) -> Fig9Data:
-    misconfig_clients, extreme_clients, runs = _settings(quick, runs)
-    misconfigured = common.sweep(
+    ) + common.sweep(
         "idem",
-        misconfig_clients,
-        runs=runs,
-        seed0=seed0,
-        duration=duration,
-        overrides={"reject_threshold": 100},
-    )
-    extreme = common.sweep(
-        "idem",
-        extreme_clients,
-        runs=runs,
+        [50 * factor for factor in extreme],
+        quick,
+        runs,
+        label="extreme",
         seed0=seed0,
         duration=duration,
     )
-    return Fig9Data(misconfigured, extreme)
+
+
+def assemble(plan: common.Plan, results: list) -> Fig9Data:
+    panels = common.curves(plan, results)
+    return Fig9Data(panels["misconfigured"], panels["extreme"])
 
 
 def render(data: Fig9Data) -> str:

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cluster.metrics import ExperimentResult
 from repro.cluster.runner import RunSpec
 from repro.experiments import common
 from repro.experiments.common import _mean, _spread
@@ -144,49 +145,40 @@ class FigMData:
         raise KeyError((system, clients))
 
 
-def _resolve(quick: bool, runs: int | None, duration: float | None):
-    if runs is None:
-        runs = 1 if quick else FULL_RUNS
-    if duration is None:
-        duration = QUICK_DURATION if quick else DURATION
-    return runs, duration
-
-
-def plan_runs(
+def plan(
     quick: bool = False,
     runs: int | None = None,
     seed0: int = 0,
     duration: float | None = None,
-) -> list[RunSpec]:
-    """The independent simulation specs behind :func:`run` (campaign planner)."""
-    runs, duration = _resolve(quick, runs, duration)
+) -> common.Plan:
+    """One cell per (system, N) arm: its seeded specs, labelled with the
+    system."""
+    if runs is None:
+        runs = 1 if quick else FULL_RUNS
+    if duration is None:
+        duration = QUICK_DURATION if quick else DURATION
     return [
-        million_spec(system, n_clients, seed0 + run_index, duration)
+        (
+            system,
+            [
+                million_spec(system, n_clients, seed0 + run_index, duration)
+                for run_index in range(runs)
+            ],
+        )
         for system in SYSTEMS
         for n_clients in N_SWEEP
-        for run_index in range(runs)
     ]
 
 
-def measure_arm(
-    system: str,
-    n_clients: int,
-    runs: int,
-    seed0: int = 0,
-    duration: float = DURATION,
-) -> MillionRun:
-    """Run one (system, N) arm over ``runs`` seeds and average it."""
-    results = [
-        common.execute_run(million_spec(system, n_clients, seed0 + index, duration))
-        for index in range(runs)
-    ]
+def measure_arm(specs: list[RunSpec], results: list[ExperimentResult]) -> MillionRun:
+    """Average one (system, N) arm over its seeded results."""
     goodputs = [result.throughput for result in results]
     events = sum(result.sim_stats["dispatched_events"] for result in results)
     commands = sum(int(result.client_stats["commands"]) for result in results)
     return MillionRun(
-        system=system,
-        clients=n_clients,
-        runs=runs,
+        system=specs[0].system,
+        clients=specs[0].clients,
+        runs=len(specs),
         goodput=_mean(goodputs),
         goodput_std=_spread(goodputs),
         mean_ms=_mean([result.latency.mean * 1e3 for result in results]),
@@ -203,20 +195,10 @@ def measure_arm(
     )
 
 
-def run(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-) -> FigMData:
-    """Measure every (system, N) arm of the sweep."""
-    runs, duration = _resolve(quick, runs, duration)
+def assemble(plan: common.Plan, results: list) -> FigMData:
+    """Every (system, N) arm of the sweep."""
     return FigMData(
-        [
-            measure_arm(system, n_clients, runs, seed0, duration)
-            for system in SYSTEMS
-            for n_clients in N_SWEEP
-        ]
+        [measure_arm(specs, cell) for (_system, specs), cell in zip(plan, results)]
     )
 
 

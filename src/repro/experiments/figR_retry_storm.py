@@ -48,11 +48,11 @@ is comfortably above saturation; this keeps the figure's runtime in CI
 territory while preserving the knee/overload geometry of the paper's
 testbed calibration.
 
-Scenario-fixed like Figure 10: ``runs`` and ``duration`` are accepted
-for interface uniformity but ignored.  (Longer spike phases than the
-calibrated ``PHASE`` erode IDEM's margin too — see
-``docs/RESILIENCE.md`` for that sensitivity and for the protocol-level
-slot-leak analysis behind the reject-retry variant of this storm.)
+Scenario-fixed like Figure 10: :func:`plan` reads only ``seed0``.
+(Longer spike phases than the calibrated ``PHASE`` erode IDEM's margin
+too — see ``docs/RESILIENCE.md`` for that sensitivity and for the
+protocol-level slot-leak analysis behind the reject-retry variant of
+this storm.)
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.faults import FaultSchedule
+from repro.cluster.metrics import ExperimentResult
 from repro.cluster.profile import ClusterProfile
 from repro.cluster.runner import RunSpec
 from repro.experiments import common
@@ -218,18 +219,8 @@ def storm_spec(
     )
 
 
-def measure_storm(
-    system: str,
-    policy: str,
-    overrides: dict,
-    seed: int = 0,
-    faults: FaultSchedule | None = None,
-    safety: bool = False,
-    probes: bool = False,
-) -> StormRun:
-    """Run one arm and reduce it to per-phase goodput and counters."""
-    spec = storm_spec(system, policy, overrides, seed, faults, safety, probes)
-    result = common.execute_run(spec)
+def measure_storm(spec: RunSpec, result: ExperimentResult, policy: str) -> StormRun:
+    """Reduce one arm's result to per-phase goodput and counters."""
     metrics = result.metrics
     phase_goodput = [
         metrics.reply_counter.rate_between(index * PHASE, (index + 1) * PHASE)
@@ -243,9 +234,9 @@ def measure_storm(
     recovered = len(post) >= 2 and (post[-1] + post[-2]) / 2.0 >= bar
     stats = result.client_stats
     return StormRun(
-        system=system,
+        system=spec.system,
         policy=policy,
-        seed=seed,
+        seed=spec.seed,
         duration=spec.duration,
         phase_goodput=phase_goodput,
         throughput_series=metrics.reply_counter.series(),
@@ -258,7 +249,7 @@ def measure_storm(
         timeouts=result.timeouts,
         rejections=int(stats["rejections"]),
         shed_arrivals=int(stats.get("shed_arrivals", 0)),
-        crashed=faults is not None,
+        crashed=spec.faults is not None,
         safety_violations=result.safety_violations or [],
         drift_findings=(
             len(result.findings) if result.findings is not None else None
@@ -279,19 +270,22 @@ class FigRData:
         raise KeyError((system, policy))
 
 
-def _cases(quick: bool):
-    """Scenario-fixed arms: (system, policy, overrides, faults, safety,
-    probes).
+def plan(
+    quick: bool = False,
+    runs: int | None = None,
+    seed0: int = 0,
+    duration: float | None = None,
+) -> common.Plan:
+    """One single-run cell per arm, labelled with the client policy.
 
-    The scenario is identical in quick and full mode: the storm is a
-    single calibrated operating point (spike height, client deadline and
+    The arms are identical in quick and full mode: the storm is a single
+    calibrated operating point (spike height, client deadline and
     rejection threshold are co-tuned; see the module docstring), not a
     sweep that can be thinned.
     """
-    del quick
     idem = dict(BASE_OVERRIDES, **IDEM_OVERRIDES)
     chaos = FaultSchedule().crash_follower(CHAOS_CRASH_TIME)
-    return [
+    arms = [
         ("paxos", "none", BASE_OVERRIDES, None, False, False),
         ("paxos", "naive", dict(BASE_OVERRIDES, **NAIVE_RETRY), None, False, False),
         ("paxos", "budget", dict(BASE_OVERRIDES, **BUDGET_RETRY), None, False, False),
@@ -302,40 +296,18 @@ def _cases(quick: bool):
         ("idem", "naive-any", dict(idem, **ANY_RETRY), None, False, True),
         ("idem", "naive+crash", dict(idem, **NAIVE_RETRY), chaos, True, False),
     ]
-
-
-def plan_runs(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-) -> list[RunSpec]:
-    """The independent simulation specs behind :func:`run` (campaign planner).
-
-    ``runs`` and ``duration`` are accepted for interface uniformity but
-    ignored: the storm arms are scenario-fixed single runs.
-    """
     return [
-        storm_spec(system, policy, overrides, seed0, faults, safety, probes)
-        for system, policy, overrides, faults, safety, probes in _cases(quick)
+        (policy, [storm_spec(system, policy, overrides, seed0, faults, safety, probes)])
+        for system, policy, overrides, faults, safety, probes in arms
     ]
 
 
-def run(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-) -> FigRData:
-    """Measure all storm arms.
-
-    ``runs`` and ``duration`` are accepted for interface uniformity but
-    ignored (scenario-fixed storm arms).
-    """
+def assemble(plan: common.Plan, results: list) -> FigRData:
+    """Every storm arm, reduced."""
     return FigRData(
         [
-            measure_storm(system, policy, overrides, seed0, faults, safety, probes)
-            for system, policy, overrides, faults, safety, probes in _cases(quick)
+            measure_storm(spec, result, policy)
+            for (policy, [spec]), [result] in zip(plan, results)
         ]
     )
 

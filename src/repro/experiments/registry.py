@@ -2,25 +2,27 @@
 
 Every experiment module exposes the same interface:
 
-* ``run(quick=False, runs=None, seed0=0, duration=None)`` — measure and
-  return the experiment's data object.
+* ``plan(quick=False, runs=None, seed0=0, duration=None)`` — the
+  figure's grid, stated once: ``(label, jobs)`` cells, where a job is a
+  :class:`~repro.cluster.runner.RunSpec` (or, for Table 1, a
+  ``measure_cell`` kwargs dict).  Planning runs nothing.
+* ``assemble(plan, results)`` — the experiment's data object, built
+  from ``results[i][j]``, the result of ``plan[i][1][j]``.  It
+  simulates nothing.
 * ``render(data)`` — the paper-style plain-text report for that data.
-* ``plan_runs(...)`` (or ``plan_cells(...)`` for Table 1) — the
-  independent job specs behind ``run``, used by the campaign planner
-  (``repro.campaign``) to fan work out without executing anything.
 * ``headlines(data)`` — the handful of numbers the paper's prose quotes,
   gated against the committed ``BENCH_<id>.json`` baseline.
 * ``claims(data)`` — the paper's qualitative claims about this figure
   (:class:`~repro.experiments.common.Claim`), each evaluated on the
   measured data.  Both are pure functions of ``data``: ``campaign``
-  calls them on what it has already aggregated, so the module is the
+  calls them on what it has already assembled, so the module is the
   one place that says what a figure shows and whether it still does.
 
 ``runs`` and ``duration`` are explicit arguments (no process-global
-state); left as ``None`` they fall back to the constants
-``experiments.common.DEFAULT_RUNS``/``DEFAULT_DURATION``.  ``run`` is the
-inline reference; ``repro-experiments campaign`` runs the same modules
-in parallel against the result cache, with byte-identical reports.
+state); left as ``None`` they fall back to each module's defaults
+(``experiments.common.DEFAULT_RUNS``/``DEFAULT_DURATION`` for the
+sweeps).  ``repro-experiments campaign`` executes the plans' jobs, in
+parallel against the result cache, and calls ``assemble``.
 """
 
 from __future__ import annotations

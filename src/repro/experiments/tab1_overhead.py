@@ -90,36 +90,39 @@ def measure_cell(
     )
 
 
-def plan_cells(quick: bool = False, seed0: int = 0) -> list[dict]:
-    """The independent cell jobs behind :func:`run` (campaign planner)."""
+def plan(
+    quick: bool = False,
+    runs: int | None = None,
+    seed0: int = 0,
+    duration: float | None = None,
+) -> common.Plan:
+    """One cell per (system, load): its :func:`measure_cell` kwargs.
+
+    Cells run until a fixed request count completes, so ``runs`` and
+    ``duration`` do not apply to them.
+    """
     target = QUICK_REQUESTS if quick else REQUESTS
     return [
-        dict(
-            system=system,
-            load_label=load_label,
-            clients=clients,
-            target=target,
-            seed=seed0,
+        (
+            load_label,
+            [
+                dict(
+                    system=system,
+                    load_label=load_label,
+                    clients=clients,
+                    target=target,
+                    seed=seed0,
+                )
+            ],
         )
         for system in SYSTEMS
         for load_label, clients in LOADS
     ]
 
 
-def run(
-    quick: bool = False,
-    runs: int | None = None,
-    seed0: int = 0,
-    duration: float | None = None,
-) -> Tab1Data:
-    """Measure all cells.
-
-    ``runs`` and ``duration`` are accepted for interface uniformity but
-    ignored: cells run until a fixed request count completes.
-    """
-    jobs = plan_cells(quick, seed0)
-    cells = [common.execute_tab1_cell(**job) for job in jobs]
-    return Tab1Data(cells, jobs[0]["target"])
+def assemble(plan: common.Plan, results: list) -> Tab1Data:
+    """The table, from its measured cells."""
+    return Tab1Data([cell for [cell] in results], plan[0][1][0]["target"])
 
 
 def render(data: Tab1Data) -> str:

@@ -5,8 +5,9 @@ The acceptance properties from the campaign design:
 * a parallel campaign's rendered output is byte-identical to the serial
   path (and a re-run resolves everything from the cache, still
   byte-identical);
-* the planner covers *every* simulation an experiment's ``run()``
-  executes, for every registered experiment (no plan drift);
+* every experiment's ``assemble`` builds its data from the results of
+  its own plan and simulates nothing;
+* a job that raises names itself, serial or pooled;
 * the baseline gate passes on freshly written baselines and fails
   (non-zero exit) once a metric is perturbed beyond its tolerance band;
 * a paper claim that does not hold fails ``--check`` and blocks
@@ -21,6 +22,7 @@ import pytest
 from repro.campaign import (
     CampaignOptions,
     ExecutionStats,
+    JobFailed,
     MISS,
     ResultCache,
     UnplannableSpec,
@@ -29,7 +31,6 @@ from repro.campaign import (
     job_key,
     job_profile,
     payload_to_spec,
-    plan_campaign,
     plan_experiment,
     result_fingerprint,
     run_campaign,
@@ -38,8 +39,7 @@ from repro.campaign import (
     write_baseline,
 )
 from repro.campaign.baseline import baseline_path
-from repro.campaign.engine import CampaignExecutor
-from repro.campaign.plan import KIND_CELL, KIND_SIM, sim_job
+from repro.campaign.plan import KIND_SIM, sim_job
 from repro.campaign.report import render_slowest, render_summary
 from repro.cluster.faults import FaultSchedule
 from repro.cluster.profile import ClusterProfile
@@ -70,32 +70,6 @@ def shared_cache_dir(tmp_path_factory):
     """One cache directory shared across the campaign-level tests, so
     the CLI round-trip reuses what the parity test already simulated."""
     return tmp_path_factory.mktemp("campaign-cache")
-
-
-class RecordingExecutor:
-    """Serves canned results while recording the key of every request."""
-
-    def __init__(self, result):
-        self.result = result
-        self.keys = []
-
-    def run_spec(self, spec):
-        self.keys.append(job_key(KIND_SIM, spec_to_payload(spec)))
-        return self.result
-
-    def run_cell(self, kwargs):
-        self.keys.append(job_key(KIND_CELL, dict(kwargs)))
-        return Tab1Cell(
-            system=kwargs["system"],
-            load_label=kwargs["load_label"],
-            clients=kwargs["clients"],
-            requests_completed=100,
-            total_bytes=1_000,
-            client_bytes=800,
-            replica_bytes=200,
-            rejects=0,
-            sim_seconds=1.0,
-        )
 
 
 class TestPlan:
@@ -170,26 +144,55 @@ class TestPlan:
         assert spec_to_payload(rebuilt) == payload
 
     def test_cross_experiment_jobs_dedup_by_key(self):
-        jobs = plan_campaign(["fig7", "fig9"], quick=True, runs=1, duration=0.3)
+        settings = dict(quick=True, runs=1, duration=0.3)
+        jobs = plan_experiment("fig7", **settings) + plan_experiment("fig9", **settings)
         keys = [job.key for job in jobs]
         # fig7's 2x/8x idem points reappear in fig9b's sweep.
         assert len(set(keys)) < len(keys)
 
     @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
     @pytest.mark.parametrize("quick", [True, False])
-    def test_plan_covers_exactly_what_run_executes(
-        self, experiment_id, quick, tiny_result
+    def test_assemble_simulates_nothing(
+        self, experiment_id, quick, tiny_result, monkeypatch
     ):
-        """Every sim/cell ``run()`` asks for is in the plan, and vice versa."""
-        recorder = RecordingExecutor(tiny_result)
-        with common.use_executor(recorder):
-            EXPERIMENTS[experiment_id].run(
-                quick=quick, runs=1, seed0=3, duration=0.5
+        """``assemble`` builds the data from the results it is handed,
+        one per job of the plan, and ``render``/``headlines``/``claims``
+        read only that data: with every way to simulate patched to
+        raise, the whole reduction still runs."""
+        import repro
+        from repro.cluster import builder, runner
+        from repro.experiments import tab1_overhead
+
+        module = EXPERIMENTS[experiment_id]
+        plan = module.plan(quick=quick)
+
+        def canned(job):
+            if isinstance(job, RunSpec):
+                return tiny_result
+            return Tab1Cell(
+                system=job["system"], load_label=job["load_label"],
+                clients=job["clients"], requests_completed=100, total_bytes=1_000,
+                client_bytes=800, replica_bytes=200, rejects=0, sim_seconds=1.0,
             )
-        planned = plan_experiment(
-            experiment_id, quick=quick, runs=1, seed0=3, duration=0.5
-        )
-        assert sorted(recorder.keys) == sorted(job.key for job in planned)
+
+        results = [[canned(job) for job in jobs] for _label, jobs in plan]
+
+        def must_not_simulate(*args, **kwargs):
+            raise AssertionError("assemble simulated")
+
+        for owner, name in (
+            (runner, "run_experiment"),
+            (repro, "run_experiment"),
+            (runner, "build_cluster"),
+            (builder, "build_cluster"),
+            (tab1_overhead, "build_cluster"),
+            (tab1_overhead, "measure_cell"),
+        ):
+            monkeypatch.setattr(owner, name, must_not_simulate)
+        data = module.assemble(plan, results)
+        assert module.render(data)
+        assert all(type(value) is float for value in module.headlines(data).values())
+        assert module.claims(data)
 
 
 class TestCache:
@@ -293,23 +296,27 @@ class TestPool:
         assert not cache.contains(job.key)  # stale entry evicted
 
 
-class TestCampaignExecutor:
-    def test_inline_fallback_counts_plan_drift(self, tiny_result):
-        stats = ExecutionStats()
-        spec = tiny_spec()
-        executor = CampaignExecutor({}, stats)
-        first = executor.run_spec(spec)
-        assert stats.inline_misses == 1
-        # The inline result is memoised, so a repeat is served from it.
-        assert executor.run_spec(spec) is first
-        assert stats.inline_misses == 1
-
-    def test_unplannable_spec_runs_inline(self):
-        stats = ExecutionStats()
-        executor = CampaignExecutor({}, stats)
-        result = executor.run_spec(tiny_spec(observe=True))
-        assert result.obs is not None
-        assert stats.inline_misses == 1
+class TestJobFailure:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_job_names_itself(self, workers):
+        """A job that raises surfaces as JobFailed naming its label and
+        key, with its own exception chained; it is not mistaken for a
+        pool failure and re-run serially."""
+        bad = sim_job("t", tiny_spec(system="nope"))
+        notes = []
+        with pytest.raises(JobFailed) as raised:
+            execute_jobs(
+                [sim_job("t", tiny_spec(seed=7)), bad],
+                workers=workers,
+                cache=None,
+                echo=notes.append,
+            )
+        message = str(raised.value)
+        assert f"job {bad.label} (key {bad.key[:12]}) failed: ValueError: " in message
+        assert "unknown system 'nope'" in message
+        assert raised.value.job == bad
+        assert isinstance(raised.value.__cause__, ValueError)
+        assert not any("running serially" in note for note in notes)
 
 
 class TestCampaignEndToEnd:
@@ -317,12 +324,14 @@ class TestCampaignEndToEnd:
     SETTINGS = dict(quick=True, runs=1, duration=0.25, seed0=0)
 
     def serial_texts(self):
-        return {
-            experiment_id: EXPERIMENTS[experiment_id].render(
-                EXPERIMENTS[experiment_id].run(**self.SETTINGS)
+        """The serial reference: one worker, no cache."""
+        serial = run_campaign(
+            CampaignOptions(
+                experiments=list(self.IDS), jobs=1, cache_dir=None, **self.SETTINGS
             )
-            for experiment_id in self.IDS
-        }
+        )
+        assert serial.stats.workers == 1 and serial.stats.cache_hits == 0
+        return {o.experiment_id: o.text for o in serial.outcomes}
 
     def test_parallel_campaign_matches_serial_and_caches(self, shared_cache_dir):
         serial = self.serial_texts()
@@ -335,7 +344,6 @@ class TestCampaignEndToEnd:
         cold = run_campaign(options)
         assert [o.experiment_id for o in cold.outcomes] == self.IDS
         assert {o.experiment_id: o.text for o in cold.outcomes} == serial
-        assert cold.stats.inline_misses == 0  # the plan covered everything
         assert cold.stats.executed == cold.stats.unique
 
         warm = run_campaign(options)
@@ -422,6 +430,11 @@ class TestCampaignEndToEnd:
         [
             (["--experiments", "nope"], "unknown experiment"),
             (["--experiments", "fig2", "--jobs", "-1"], "jobs must be >= 0"),
+            # A run count or duration that would silently become
+            # another value (the default, or an empty grid).
+            (["--experiments", "fig2", "--runs", "0"], "runs must be >= 1"),
+            (["--experiments", "fig2", "--runs", "-1"], "runs must be >= 1"),
+            (["--experiments", "fig2", "--duration", "0"], "duration must be > 0"),
         ],
     )
     def test_bad_usage_exits_two_with_one_line(self, bad, message, capsys):
@@ -479,7 +492,6 @@ class TestCampaignEndToEnd:
         monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
         monkeypatch.setenv("REPRO_BENCH_CACHE", "1")
         assert traced() == baseline
-        assert common._executor is None
         planned = plan_experiment("fig2", runs=1)
         assert len(planned) == len(EXPERIMENTS["fig2"].FULL_CLIENTS)
 

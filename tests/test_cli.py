@@ -7,21 +7,17 @@ of the namespace, so the dataclass holds the only default.  ``chaos``
 and ``obs`` run twice through ``main`` to pin their stdout.
 """
 
-import itertools
 import re
 import shlex
-from pathlib import Path
 
 import pytest
-import yaml
 
 from repro import cli
 from repro.campaign import CampaignOptions
 from repro.cluster.chaos import ChaosOptions
 from repro.cluster.runner import RunSpec
 from repro.cli import build_parser, main
-
-CI_WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "ci.yml"
+from tools import gate
 
 #: (command, flag...) pairs that parsed before subcommands and were
 #: never read by the command they were given to.
@@ -93,27 +89,20 @@ def test_flag_dests_are_dataclass_fields():
     assert parsed(["campaign", "--no-cache"]) == {"cache_dir": None}
 
 
-MATRIX = re.compile(r"\$\{\{\s*matrix\.(\w+)\s*\}\}")
 SHELL_OPERATOR = re.compile(r"^(\d*>|\||&&|;|<)")
 
 
 def ci_invocations() -> list[list[str]]:
     """Every ``python -m repro.cli`` argv in CI, matrix-expanded."""
-    workflow = yaml.safe_load(CI_WORKFLOW.read_text())
     invocations = []
-    for job in workflow["jobs"].values():
-        matrix = job.get("strategy", {}).get("matrix", {})
-        for step in job["steps"]:
-            for line in step.get("run", "").replace("\\\n", " ").splitlines():
-                if "python -m repro.cli" not in line:
-                    continue
-                tail = line.split("python -m repro.cli", 1)[1]
-                keys = sorted(set(MATRIX.findall(tail)))
-                for values in itertools.product(*(matrix[key] for key in keys)):
-                    chosen = dict(zip(keys, values))
-                    text = MATRIX.sub(lambda match: str(chosen[match.group(1)]), tail)
+    for job in gate.load_workflow()["jobs"].values():
+        for combination in gate.steps(job):
+            for _name, script, _reason in combination:
+                for line in gate.command_lines(script):
+                    if "python -m repro.cli" not in line:
+                        continue
                     argv = []
-                    for token in shlex.split(text):
+                    for token in shlex.split(line.split("python -m repro.cli", 1)[1]):
                         if SHELL_OPERATOR.match(token):
                             break
                         argv.append(token)

@@ -77,9 +77,10 @@ def test_reproducible_across_crashes():
 def _run_fig2_with_hash_seed(hash_seed: str) -> str:
     """Render fig2 (tiny settings) in a subprocess with PYTHONHASHSEED set."""
     code = (
-        "from repro.experiments import fig2_existing_protocols as fig2\n"
-        "data = fig2.run(quick=True, runs=1, duration=0.2)\n"
-        "print(fig2.render(data))\n"
+        "from repro.campaign import CampaignOptions, run_campaign\n"
+        "options = CampaignOptions(experiments=['fig2'], quick=True, runs=1,\n"
+        "                          duration=0.2, jobs=1, cache_dir=None)\n"
+        "print(run_campaign(options).outcomes[0].text)\n"
     )
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -44,29 +44,29 @@ class TestJainFairness:
 
 
 
-def tiny_spec(seed0=0):
+def tiny_spec(seed0=0, system="idem"):
     from repro.cluster.runner import RunSpec
 
-    return RunSpec(clients=2, duration=0.3, warmup=0.1, seed=seed0)
+    return RunSpec(system=system, clients=2, duration=0.3, warmup=0.1, seed=seed0)
 
 
 class StubExperiment:
     """The experiment-module interface, over one tiny simulation."""
 
-    def __init__(self, name, ran=None):
+    def __init__(self, name, ran=None, system="idem"):
         self.__doc__ = f"Stub {name}."
         self.name = name
         self.ran = ran if ran is not None else []
+        self.system = system
 
-    def plan_runs(self, quick=False, runs=None, seed0=0, duration=None):
-        return [tiny_spec(seed0)]
+    def plan(self, quick=False, runs=None, seed0=0, duration=None):
+        return [(quick, [tiny_spec(seed0, self.system)])]
 
-    def run(self, quick=False, runs=None, seed0=0, duration=None):
-        from repro.experiments import common
-
+    def assemble(self, plan, results):
         self.ran.append(self.name)
-        result = common.execute_run(tiny_spec(seed0))
-        return {"quick": quick, "seed": seed0, "successes": result.client_stats["successes"]}
+        [(quick, [spec])] = plan
+        [[result]] = results
+        return {"quick": quick, "seed": spec.seed, "successes": result.client_stats["successes"]}
 
     def render(self, data):
         return f"STUB {self.name} quick={data['quick']} seed={data['seed']}"
@@ -104,3 +104,21 @@ class TestCliRun:
         assert ran == ["a", "b"]
         out = capsys.readouterr().out
         assert out == "STUB a quick=False seed=0\n\nSTUB b quick=False seed=0\n\n"
+
+    def test_a_failing_job_exits_one_naming_it(self, capsys, monkeypatch):
+        """A job that raises ends the campaign with exit 1 and one
+        error line naming the job; no report is printed."""
+        from repro import cli
+        from repro.experiments import registry
+
+        stub = StubExperiment("broken", system="nope")
+        monkeypatch.setitem(registry.EXPERIMENTS, "broken", stub)
+        argv = ["campaign", "--experiments", "broken", "--no-cache", "--jobs", "1"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "failed" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith("campaign: job broken/nope/c2/s0 (key ")
+        assert "ValueError: unknown system 'nope'" in errors[0]
+        assert stub.ran == []

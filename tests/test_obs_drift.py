@@ -245,8 +245,7 @@ class TestStormRegression:
     """The acceptance gate: pre-fix figR storm fires the detector,
     the fixed code runs the same storm clean and recovers."""
 
-    def _storm_result(self, system="idem"):
-        from repro.cluster.runner import run_experiment
+    def _storm_spec(self, system="idem"):
         from repro.experiments.figR_retry_storm import (
             ANY_RETRY,
             BASE_OVERRIDES,
@@ -255,8 +254,12 @@ class TestStormRegression:
         )
 
         overrides = {**BASE_OVERRIDES, **IDEM_OVERRIDES, **ANY_RETRY}
-        spec = storm_spec(system, "naive-any", overrides, 0, probes=True)
-        return run_experiment(spec)
+        return storm_spec(system, "naive-any", overrides, 0, probes=True)
+
+    def _storm_result(self, system="idem"):
+        from repro.cluster.runner import run_experiment
+
+        return run_experiment(self._storm_spec(system))
 
     def test_prefix_storm_flags_the_leak(self, monkeypatch):
         monkeypatch.setattr(
@@ -266,28 +269,16 @@ class TestStormRegression:
         rules = {finding["rule"] for finding in result.findings}
         assert "active_set_leak" in rules
 
-    def test_fixed_storm_is_clean_and_recovers(self, monkeypatch):
-        from repro.experiments import common
-        from repro.experiments.figR_retry_storm import (
-            ANY_RETRY,
-            BASE_OVERRIDES,
-            IDEM_OVERRIDES,
-            measure_storm,
-        )
+    def test_fixed_storm_is_clean_and_recovers(self):
+        from repro.cluster.runner import run_experiment
+        from repro.experiments.figR_retry_storm import measure_storm
 
-        results = []
-        execute_run = common.execute_run
-
-        def keep_result(spec):
-            results.append(execute_run(spec))
-            return results[-1]
-
-        monkeypatch.setattr(common, "execute_run", keep_result)
-        overrides = {**BASE_OVERRIDES, **IDEM_OVERRIDES, **ANY_RETRY}
-        run = measure_storm("idem", "naive-any", overrides, probes=True)
+        spec = self._storm_spec()
+        result = run_experiment(spec)
+        run = measure_storm(spec, result, "naive-any")
         assert run.recovered
         assert run.drift_findings == 0
-        for replica in results[0].obs.cluster.replicas:
+        for replica in result.obs.cluster.replicas:
             assert_active_index_consistent(replica)
 
     def test_multileader_storm_frees_dead_slots_on_execute(self, monkeypatch):

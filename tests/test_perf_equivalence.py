@@ -17,26 +17,25 @@ import repro.sim.loop as loop_module
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-def _render_fig2() -> str:
-    from repro.experiments import fig2_existing_protocols as fig2
+def _render(experiment_id: str) -> str:
+    """One experiment's report, executed serially in this process."""
+    from repro.campaign import CampaignOptions, run_campaign
 
-    return fig2.render(fig2.run(quick=True, runs=1, duration=0.2)) + "\n"
-
-
-def _render_fig6() -> str:
-    from repro.experiments import fig6_comparison as fig6
-
-    return fig6.render(fig6.run(quick=True, runs=1, duration=0.2)) + "\n"
+    options = CampaignOptions(
+        experiments=[experiment_id], quick=True, runs=1, duration=0.2,
+        jobs=1, cache_dir=None,
+    )
+    return run_campaign(options).outcomes[0].text + "\n"
 
 
 def test_fig2_matches_the_pre_optimisation_golden():
     golden = (GOLDEN_DIR / "fig2_golden.txt").read_text(encoding="utf-8")
-    assert _render_fig2() == golden
+    assert _render("fig2") == golden
 
 
 def test_fig6_matches_the_pre_optimisation_golden():
     golden = (GOLDEN_DIR / "fig6_golden.txt").read_text(encoding="utf-8")
-    assert _render_fig6() == golden
+    assert _render("fig6") == golden
 
 
 def test_fig2_is_byte_identical_with_auto_drain_off(monkeypatch):
@@ -48,7 +47,7 @@ def test_fig2_is_byte_identical_with_auto_drain_off(monkeypatch):
     """
     golden = (GOLDEN_DIR / "fig2_golden.txt").read_text(encoding="utf-8")
     monkeypatch.setattr(loop_module, "AUTO_DRAIN_DEFAULT", False)
-    assert _render_fig2() == golden
+    assert _render("fig2") == golden
 
 
 def test_golden_files_are_committed():

@@ -474,7 +474,11 @@ class TestFigM:
     def test_plan_runs(self):
         from repro.experiments import figM_million_users as figM
 
-        specs = figM.plan_runs(quick=True)
+        plan = figM.plan(quick=True)
+        assert [label for label, _specs in plan] == [
+            system for system in figM.SYSTEMS for _n in figM.N_SWEEP
+        ]
+        specs = [spec for _label, specs in plan for spec in specs]
         assert len(specs) == len(figM.SYSTEMS) * len(figM.N_SWEEP)
         for spec in specs:
             assert spec.population is not None

@@ -33,7 +33,8 @@ def test_second_core_and_sharding_are_not_exported():
         "set_default_core get_default_core TimeSeries",
         "repro.campaign": "render_shards run_sharded shard_campaign_jobs "
         "merge_shard_groups SHARD_SEED_STRIDE CachingExecutor extract_headlines "
-        "HEADLINE_EXTRACTORS",
+        "HEADLINE_EXTRACTORS CampaignExecutor plan_campaign",
+        "repro.campaign.engine": "CampaignExecutor",
         "repro.campaign.baseline": "extract_headlines HEADLINE_EXTRACTORS",
         "repro.net": "MessageTracer TraceFilter TraceRecord",
         "repro.analysis": "LintCache ProjectIndex build_index lint_project "
@@ -41,12 +42,19 @@ def test_second_core_and_sharding_are_not_exported():
         "repro.obs": "resilience_summary",
         "repro.experiments": "run_experiment_by_id",
         "repro.experiments.registry": "run_experiment_by_id",
-        "repro.experiments.common": "default_runs default_duration",
+        # One grid per figure: plan + assemble, no executor to keep a
+        # second walk of the grid in step with the plan.
+        "repro.experiments.common": "default_runs default_duration "
+        "ExperimentExecutor use_executor execute_run execute_tab1_cell "
+        "averaged_point sweep_specs",
     }
     for package_name, names in removed.items():
         package = importlib.import_module(package_name)
         for name in names.split():
             assert not hasattr(package, name), f"{package_name}.{name} is back"
+    from repro.campaign import ExecutionStats
+
+    assert not hasattr(ExecutionStats(), "inline_misses")
     assert importlib.util.find_spec("repro.perf") is None
     # One command surface: no environment-backed settings module.
     assert importlib.util.find_spec("repro.experiments.settings") is None
