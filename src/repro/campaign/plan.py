@@ -255,7 +255,6 @@ def spec_to_payload(spec: RunSpec) -> dict[str, Any]:
             else population_to_payload(spec.population)
         ),
         "probes": spec.probes,
-        "probe_interval": spec.obs_sample_interval,
     }
 
 
@@ -293,7 +292,6 @@ def payload_to_spec(payload: dict[str, Any]) -> RunSpec:
             else payload_to_population(payload["population"])
         ),
         probes=payload["probes"],
-        obs_sample_interval=payload["probe_interval"],
     )
 
 

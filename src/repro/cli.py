@@ -337,12 +337,12 @@ def run_trace_command(out: str = "traces", top: int = 5, **fields) -> int:
     with open(jsonl_path, "w") as stream:
         lines = write_jsonl(hub.tracer, stream)
     with open(chrome_path, "w") as stream:
-        events = write_chrome_trace(hub.tracer, stream, hub.registry)
+        events = write_chrome_trace(stream, hub.tracer, hub.recorder)
     print(result.describe())
     print(f"[{lines} events -> {jsonl_path}]")
     print(f"[{events} Chrome trace events -> {chrome_path}]")
     print()
-    print(render_report(hub.tracer, hub.registry, k=top))
+    print(render_report(hub.tracer, hub.recorder, k=top))
     return 0
 
 
@@ -359,7 +359,8 @@ def run_obs_command(
     deterministic for a given option set.
     """
     from repro.cluster.runner import run_experiment
-    from repro.obs import write_series_chrome_trace, write_series_jsonl
+    from repro.obs import write_chrome_trace, write_series_jsonl
+    from repro.sim.monitor import SummaryStats
 
     try:
         if scenario == "storm":
@@ -418,7 +419,7 @@ def run_obs_command(
         with open(jsonl_path, "w") as stream:
             lines = write_series_jsonl(recorder, stream)
         with open(perfetto_path, "w") as stream:
-            events = write_series_chrome_trace(recorder, stream)
+            events = write_chrome_trace(stream, recorder=recorder)
         print(f"[{lines} samples -> {jsonl_path}]")
         print(f"[{events} counter events -> {perfetto_path}]")
         print(render_findings_lines())
@@ -428,7 +429,7 @@ def run_obs_command(
         print(render_findings_lines())
         return 1 if findings else 0
 
-    # report: one line per (node, series) with window stats + quantiles.
+    # report: one line per (node, series), summarising its retained samples.
     print(
         f"{len(recorder)} series, {recorder.samples_recorded} samples, "
         f"{len(recorder.marks)} fault mark(s)"
@@ -440,11 +441,11 @@ def run_obs_command(
     print(header)
     print("-" * len(header))
     for (node, name), series in recorder.items():
-        stats = series.window(0.0, spec.duration)
+        stats = SummaryStats.of(series.values())
         print(
-            f"{node:10s} {name:24s} {stats.count:>6d} {stats.min:>10.2f} "
-            f"{stats.mean:>10.2f} {stats.max:>10.2f} {stats.last:>10.2f} "
-            f"{series.quantile(0.5):>10.2f} {series.quantile(0.99):>10.2f}"
+            f"{node:10s} {name:24s} {stats.count:>6d} {stats.minimum:>10.2f} "
+            f"{stats.mean:>10.2f} {stats.maximum:>10.2f} {series.last_value:>10.2f} "
+            f"{stats.p50:>10.2f} {stats.p99:>10.2f}"
         )
     print()
     print(render_findings_lines())

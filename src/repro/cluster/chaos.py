@@ -263,10 +263,6 @@ class ChaosOptions:
     settle: float = 3.0
     mean_gap: float = 0.8
     profile: Optional[ClusterProfile] = None
-    # Attach an ObservabilityHub: lifecycle tracing with the fault plan
-    # annotated as windows in the trace.  Observer-only; the report's
-    # summary() stays byte-identical with this on or off.
-    observe: bool = False
 
     def __post_init__(self) -> None:
         if self.duration <= self.warmup + self.settle:
@@ -293,9 +289,6 @@ class ChaosReport:
     rejections: int
     timeouts: int
     violations: list[str] = field(default_factory=list)
-    # The run's ObservabilityHub when ChaosOptions.observe was set
-    # (excluded from summary() to keep it byte-deterministic).
-    obs: Optional[object] = None
 
     @property
     def ok(self) -> bool:
@@ -360,14 +353,6 @@ class ChaosRunner:
             settle=options.settle,
             mean_gap=options.mean_gap,
         )
-        hub = None
-        if options.observe:
-            from repro.obs import ObservabilityHub
-
-            horizon = options.duration + options.drain
-            hub = ObservabilityHub()
-            hub.attach(cluster, horizon=horizon)
-            hub.annotate_faults(plan, horizon)
         plan.install(cluster)
         cluster.run_until(options.duration)
         cluster.stop_clients()
@@ -390,7 +375,6 @@ class ChaosRunner:
             rejections=sum(client.rejections for client in cluster.clients),
             timeouts=sum(client.timeouts for client in cluster.clients),
             violations=violations,
-            obs=hub,
         )
 
 

@@ -52,15 +52,14 @@ class RunSpec:
     # result (crash/chaos experiments).
     safety: bool = False
     # Attach an ObservabilityHub (repro.obs): request-lifecycle tracing
-    # plus periodically sampled replica internals.  Observer-only — a
+    # plus the periodically probed flight recorder.  Observer-only — a
     # seeded run returns byte-identical results with this on or off.
     observe: bool = False
-    obs_sample_interval: float = 0.01
-    # Record replica-state probe series (repro.obs.probes) into a flight
-    # recorder and run the drift detectors over them; findings land in
-    # ExperimentResult.findings.  Implies a hub.  Observer-pure like
-    # `observe` — probing rides the same sampling tick, so a probed run
-    # is byte-identical to an observed one (and to a bare one).
+    # Run the drift detectors over the hub's flight recorder (the hub
+    # probes without tracing unless `observe` is set too); findings land
+    # in ExperimentResult.findings.  Observer-pure like `observe`: both
+    # ride the same sample tick, so a probed run is byte-identical to an
+    # observed one (and to a bare one).
     probes: bool = False
 
     def __post_init__(self) -> None:
@@ -114,13 +113,7 @@ def run_experiment(spec: RunSpec) -> ExperimentResult:
     if spec.observe or spec.probes:
         from repro.obs import ObservabilityHub
 
-        # Probe-only runs keep a minimal tracer (events drop at the cap)
-        # so the recorder's memory footprint dominates, not the trace.
-        hub = ObservabilityHub(
-            sample_interval=spec.obs_sample_interval,
-            max_events=2_000_000 if spec.observe else 1,
-            probes=spec.probes,
-        )
+        hub = ObservabilityHub(trace=spec.observe)
         hub.attach(cluster, horizon=spec.duration)
         if spec.faults is not None:
             hub.annotate_faults(spec.faults, spec.duration)
@@ -148,15 +141,10 @@ def collect_result(
         client_stats["lost_arrivals"] = node.lost_arrivals
         client_stats["feedback_ticks"] = node.feedback_ticks
     findings = None
-    if hub is not None and hub.recorder is not None:
-        from repro.obs import DetectorConfig, findings_jsonable, run_detectors
+    if spec.probes:
+        from repro.obs import findings_jsonable, run_detectors
 
-        findings = findings_jsonable(
-            run_detectors(
-                hub.recorder,
-                DetectorConfig(interval=spec.obs_sample_interval),
-            )
-        )
+        findings = findings_jsonable(run_detectors(hub.recorder))
     return ExperimentResult(
         system=spec.system,
         clients=spec.clients,

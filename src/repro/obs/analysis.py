@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import (
     ACCEPT,
     CLIENT_OUTCOME,
@@ -29,9 +28,12 @@ from repro.obs.spans import (
     RECV,
     REJECT,
     REPLY_SENT,
+    VC_DONE,
     RequestTracer,
     Rid,
 )
+from repro.obs.timeseries import FlightRecorder
+from repro.sim.monitor import SummaryStats
 
 # The lifecycle stages, in causal order: (label, from-event, to-event).
 _STAGES = [
@@ -220,16 +222,47 @@ def render_breakdown(breakdown: RequestBreakdown) -> str:
     return "\n".join(lines)
 
 
+def replica_internals(
+    tracer: RequestTracer, recorder: Optional[FlightRecorder] = None
+) -> dict[tuple[str, str], list[float]]:
+    """Per-(metric, node) samples of four replica internals.
+
+    * ``queue_depth_at_arrival`` — processor queue seen by each request
+      (``recv`` rows);
+    * ``active_at_decision`` — occupancy at each accept/reject decision;
+    * ``view_change_duration`` — ``vc_start`` to ``view_installed``;
+    * ``busy_fraction`` — the recorder's ``busy_frac`` series.
+    """
+    samples: dict[tuple[str, str], list[float]] = {}
+
+    def add(metric: str, node: str, value: float) -> None:
+        samples.setdefault((metric, node), []).append(value)
+
+    for event in tracer.events:
+        kind = event.kind
+        if kind == RECV:
+            add("queue_depth_at_arrival", event.node, event.data["queue"])
+        elif kind in (ACCEPT, REJECT):
+            add("active_at_decision", event.node, event.data["active"])
+        elif kind == VC_DONE and event.time > event.data["begin"]:
+            add("view_change_duration", event.node, event.time - event.data["begin"])
+    if recorder is not None:
+        for (node, name), series in recorder.items():
+            if name == "busy_frac":
+                samples[("busy_fraction", node)] = series.values()
+    return samples
+
+
 def render_report(
     tracer: RequestTracer,
-    registry: Optional[MetricsRegistry] = None,
+    recorder: Optional[FlightRecorder] = None,
     k: int = 5,
 ) -> str:
     """The deterministic trace summary printed by ``repro-experiments trace``.
 
     Top-``k`` slowest successful requests with per-hop breakdowns, the
-    reject-reason histogram, and (when a registry is supplied) per-node
-    internals.
+    reject-reason histogram, and per-node replica internals
+    (:func:`replica_internals`; ``busy_fraction`` needs ``recorder``).
     """
     breakdowns = build_breakdowns(tracer)
     finished = [b for b in breakdowns.values() if b.outcome != "pending"]
@@ -256,22 +289,15 @@ def render_report(
             lines.append(f"  {reason:<24s} {reasons[reason]:8d}")
     else:
         lines.append("reject reasons: none (no replica-side rejections)")
-    if registry is not None and len(registry):
+    internals = replica_internals(tracer, recorder)
+    if internals:
         lines.append("")
-        lines.append("replica internals (registry):")
-        for metric in registry:
-            if metric.name in (
-                "busy_fraction",
-                "queue_depth_at_arrival",
-                "active_at_decision",
-                "view_change_duration",
-            ):
-                labels = ",".join(
-                    f"{key}={value}" for key, value in sorted(metric.labels.items())
-                )
-                body = " ".join(
-                    f"{key}={value:.4g}" if isinstance(value, float) else f"{key}={value}"
-                    for key, value in metric.snapshot().items()
-                )
-                lines.append(f"  {metric.name}{{{labels}}} {body}")
+        lines.append("replica internals:")
+        for (metric, node), values in sorted(internals.items()):
+            stats = SummaryStats.of(values)
+            lines.append(
+                f"  {metric}{{node={node}}} count={stats.count} "
+                f"mean={stats.mean:.4g} min={stats.minimum:.4g} "
+                f"max={stats.maximum:.4g} p50={stats.p50:.4g} p99={stats.p99:.4g}"
+            )
     return "\n".join(lines)

@@ -34,11 +34,13 @@ The built-in rules target the failure shapes of this repo's protocols:
     the hub's fault annotator), client goodput fails to return to a
     fraction of its pre-fault rate.
 
-All rules share hygiene requirements: windows only span samples where
-the replica was up, a sampling gap larger than twice the probe interval
-breaks any window (crash/recovery boundaries), iteration is sorted
-everywhere and evidence is plain floats — detector output is a pure
-function of the recorded series, independent of ``PYTHONHASHSEED``.
+Each rule is a plain function of the recorder; :func:`run_detectors`
+runs all four.  All rules share hygiene requirements: windows only span
+samples where the replica was up, a sampling gap larger than twice the
+probe interval breaks any window (crash/recovery boundaries), iteration
+is sorted everywhere and evidence is plain floats — detector output is
+a pure function of the recorded series, independent of
+``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -47,20 +49,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.obs.probes import SAMPLE_INTERVAL
 from repro.obs.timeseries import FlightRecorder, Series
 
 #: Minimum sim-time span a drift window must cover before it is reported.
-DEFAULT_MIN_WINDOW = 0.5
-
-#: Minimum samples inside a window (guards tiny runs with huge intervals).
-DEFAULT_MIN_SAMPLES = 5
+MIN_WINDOW = 0.5
 
 #: Active-set growth (slots) that counts as imbalance while executions
 #: are flat.
-DEFAULT_MIN_GROWTH = 3.0
+MIN_GROWTH = 3.0
 
 #: Post-fault goodput must reach this fraction of the pre-fault rate.
-DEFAULT_RECOVERY_FRACTION = 0.5
+RECOVERY_FRACTION = 0.5
 
 
 @dataclass
@@ -92,26 +92,6 @@ def findings_jsonable(findings: list[Finding]) -> list[dict]:
     return [finding.jsonable() for finding in findings]
 
 
-@dataclass(frozen=True)
-class DetectorRule:
-    """One declarative invariant rule."""
-
-    name: str
-    description: str
-    fn: Callable[[FlightRecorder, "DetectorConfig"], list[Finding]]
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Shared rule parameters (all sim-time seconds unless noted)."""
-
-    interval: float = 0.01
-    min_window: float = DEFAULT_MIN_WINDOW
-    min_samples: int = DEFAULT_MIN_SAMPLES
-    min_growth: float = DEFAULT_MIN_GROWTH
-    recovery_fraction: float = DEFAULT_RECOVERY_FRACTION
-
-
 # -- shared walking machinery ------------------------------------------
 
 
@@ -119,9 +99,9 @@ def _replica_nodes(recorder: FlightRecorder) -> list[str]:
     return [node for node in recorder.nodes() if node.startswith("replica-")]
 
 
-def _gap_breaks(previous_time: float, time: float, config: DetectorConfig) -> bool:
+def _gap_breaks(previous_time: float, time: float) -> bool:
     """A sampling gap > 2x the cadence ends any window (downtime)."""
-    return (time - previous_time) > 2.0 * config.interval
+    return (time - previous_time) > 2.0 * SAMPLE_INTERVAL
 
 
 def _value_at(series: Optional[Series], time: float) -> float:
@@ -147,17 +127,15 @@ class _Window:
         self.samples += 1
         self.last = value
 
-    def long_enough(self, config: DetectorConfig) -> bool:
-        return (
-            self.end - self.start >= config.min_window
-            and self.samples >= config.min_samples
-        )
+    def long_enough(self) -> bool:
+        # No gap inside a window exceeds 2 x SAMPLE_INTERVAL, so a
+        # window this long holds at least 26 samples.
+        return self.end - self.start >= MIN_WINDOW
 
 
 def _scan_windows(
     series: Series,
     predicate: Callable[[float, float], bool],
-    config: DetectorConfig,
 ) -> list[_Window]:
     """Maximal windows of consecutive samples where ``predicate(t, v)``
     holds, broken at sampling gaps."""
@@ -167,12 +145,12 @@ def _scan_windows(
 
     def close() -> None:
         nonlocal current
-        if current is not None and current.long_enough(config):
+        if current is not None and current.long_enough():
             windows.append(current)
         current = None
 
     for time, value in series.samples():
-        if previous_time is not None and _gap_breaks(previous_time, time, config):
+        if previous_time is not None and _gap_breaks(previous_time, time):
             close()
         previous_time = time
         if predicate(time, value):
@@ -189,9 +167,7 @@ def _scan_windows(
 # -- rules -------------------------------------------------------------
 
 
-def _rule_active_set_leak(
-    recorder: FlightRecorder, config: DetectorConfig
-) -> list[Finding]:
+def _active_set_leak(recorder: FlightRecorder) -> list[Finding]:
     findings: list[Finding] = []
     for node in _replica_nodes(recorder):
         dead = recorder.series(node, "dead_slots")
@@ -217,7 +193,7 @@ def _rule_active_set_leak(
             state["previous_dead"] = value
             return True
 
-        for window in _scan_windows(dead, predicate, config):
+        for window in _scan_windows(dead, predicate):
             findings.append(
                 Finding(
                     rule="active_set_leak",
@@ -241,9 +217,7 @@ def _rule_active_set_leak(
     return findings
 
 
-def _rule_threshold_pinned(
-    recorder: FlightRecorder, config: DetectorConfig
-) -> list[Finding]:
+def _threshold_pinned(recorder: FlightRecorder) -> list[Finding]:
     findings: list[Finding] = []
     for node in _replica_nodes(recorder):
         active = recorder.series(node, "active_slots")
@@ -260,7 +234,7 @@ def _rule_threshold_pinned(
             cap = _value_at(threshold, time)
             return not math.isnan(cap) and value >= cap
 
-        for window in _scan_windows(active, predicate, config):
+        for window in _scan_windows(active, predicate):
             executed_delta = _value_at(executed, window.end) - _value_at(
                 executed, window.start
             )
@@ -291,9 +265,7 @@ def _rule_threshold_pinned(
     return findings
 
 
-def _rule_occupancy_imbalance(
-    recorder: FlightRecorder, config: DetectorConfig
-) -> list[Finding]:
+def _occupancy_imbalance(recorder: FlightRecorder) -> list[Finding]:
     findings: list[Finding] = []
     for node in _replica_nodes(recorder):
         active = recorder.series(node, "active_slots")
@@ -318,10 +290,10 @@ def _rule_occupancy_imbalance(
                 return False
             return True
 
-        # ...during which occupancy still grew by min_growth or more.
-        for window in _scan_windows(active, predicate, config):
+        # ...during which occupancy still grew by MIN_GROWTH or more.
+        for window in _scan_windows(active, predicate):
             growth = window.last - window.first
-            if growth < config.min_growth:
+            if growth < MIN_GROWTH:
                 continue
             findings.append(
                 Finding(
@@ -345,9 +317,7 @@ def _rule_occupancy_imbalance(
     return findings
 
 
-def _rule_post_fault_non_recovery(
-    recorder: FlightRecorder, config: DetectorConfig
-) -> list[Finding]:
+def _post_fault_non_recovery(recorder: FlightRecorder) -> list[Finding]:
     findings: list[Finding] = []
     goodput = recorder.series("clients", "successes")
     if goodput is None or not recorder.marks:
@@ -358,7 +328,7 @@ def _rule_post_fault_non_recovery(
         start = float(mark.get("time", 0.0))
         end = float(mark.get("end", start))
         label = str(mark.get("label", "fault"))
-        span = max(end - start, config.min_window)
+        span = max(end - start, MIN_WINDOW)
         pre_start = start - span
         post_end = end + span
         # Need a full pre-fault baseline and a full post-fault window.
@@ -368,7 +338,7 @@ def _rule_post_fault_non_recovery(
         post_delta = goodput.value_at(post_end) - goodput.value_at(end)
         if math.isnan(pre_delta) or math.isnan(post_delta) or pre_delta <= 0:
             continue
-        if post_delta >= config.recovery_fraction * pre_delta:
+        if post_delta >= RECOVERY_FRACTION * pre_delta:
             continue
         findings.append(
             Finding(
@@ -380,55 +350,27 @@ def _rule_post_fault_non_recovery(
                     f"goodput after fault '{label}' is "
                     f"{post_delta:.0f} successes/{span:.2f}s vs "
                     f"{pre_delta:.0f} before (needs "
-                    f">= {config.recovery_fraction:.0%})"
+                    f">= {RECOVERY_FRACTION:.0%})"
                 ),
                 evidence={
                     "pre_delta": pre_delta,
                     "post_delta": post_delta,
                     "fault_start": start,
                     "fault_end": end,
-                    "recovery_fraction": config.recovery_fraction,
+                    "recovery_fraction": RECOVERY_FRACTION,
                 },
             )
         )
     return findings
 
 
-#: The rule registry, in report order.
-RULES: tuple[DetectorRule, ...] = (
-    DetectorRule(
-        "active_set_leak",
-        "dedup-dead active slots held without release",
-        _rule_active_set_leak,
-    ),
-    DetectorRule(
-        "threshold_pinned",
-        "occupancy at threshold while rejecting everything, executing nothing",
-        _rule_threshold_pinned,
-    ),
-    DetectorRule(
-        "occupancy_imbalance",
-        "occupancy grows while executions are flat",
-        _rule_occupancy_imbalance,
-    ),
-    DetectorRule(
-        "post_fault_non_recovery",
-        "goodput does not recover after an annotated fault window",
-        _rule_post_fault_non_recovery,
-    ),
-)
-
-
-def run_detectors(
-    recorder: FlightRecorder,
-    config: Optional[DetectorConfig] = None,
-    rules: Optional[tuple[DetectorRule, ...]] = None,
-) -> list[Finding]:
+def run_detectors(recorder: FlightRecorder) -> list[Finding]:
     """Run every rule over the recording; findings sorted and stable."""
-    if config is None:
-        config = DetectorConfig()
-    findings: list[Finding] = []
-    for rule in rules if rules is not None else RULES:
-        findings.extend(rule.fn(recorder, config))
+    findings = [
+        *_active_set_leak(recorder),
+        *_threshold_pinned(recorder),
+        *_occupancy_imbalance(recorder),
+        *_post_fault_non_recovery(recorder),
+    ]
     findings.sort(key=lambda f: (f.rule, f.node, f.start, f.end))
     return findings

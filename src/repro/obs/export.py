@@ -1,7 +1,9 @@
-"""Trace exporters: JSONL event log and Chrome trace-event format.
+"""Exporters: JSONL logs and the Chrome trace-event document.
 
-The JSONL export is one :class:`~repro.obs.spans.TraceEvent` per line —
-the lossless archival form, easy to grep and to post-process.
+The JSONL exports are the lossless archival forms, easy to grep and to
+post-process: one :class:`~repro.obs.spans.TraceEvent` per line
+(:func:`write_jsonl`), and one flight-recorder sample per line
+(:func:`write_series_jsonl`).
 
 The Chrome trace-event export targets the ``chrome://tracing`` /
 Perfetto JSON schema (the "JSON Array Format" with ``traceEvents``):
@@ -12,8 +14,10 @@ Perfetto JSON schema (the "JSON Array Format" with ``traceEvents``):
   become complete (``X``) spans with microsecond ``ts``/``dur``;
 * point events (accept, reject, propose, quorum, execute, forward, ...)
   become instant (``i``) events;
-* periodic replica samples become counter (``C``) tracks, which Perfetto
-  renders as stacked area charts per replica.
+* flight-recorder series become counter (``C``) tracks, one per
+  (node, series), which Perfetto renders as area charts.
+
+:func:`write_chrome_trace` writes either part or both into one document.
 """
 
 from __future__ import annotations
@@ -21,17 +25,16 @@ from __future__ import annotations
 import json
 from typing import IO, Optional
 
-from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import (
     CLIENT_OUTCOME,
     CLIENT_SEND,
     EXEC,
     FAULT,
-    SAMPLE,
     VC_DONE,
     RequestTracer,
     TraceEvent,
 )
+from repro.obs.timeseries import FlightRecorder
 
 _INSTANT_KINDS = {
     "client_retransmit",
@@ -81,10 +84,7 @@ def _tid_order(node: str) -> tuple[int, int]:
         return rank, 0
 
 
-def chrome_trace_events(
-    tracer: RequestTracer,
-    registry: Optional[MetricsRegistry] = None,
-) -> list[dict]:
+def chrome_trace_events(tracer: RequestTracer) -> list[dict]:
     """The ``traceEvents`` list for the Chrome trace-event JSON."""
     nodes = sorted({event.node for event in tracer.events}, key=_tid_order)
     tids = {node: position + 1 for position, node in enumerate(nodes)}
@@ -143,23 +143,6 @@ def chrome_trace_events(
                 "dur": max(0.0, _us(event.data["end"] - event.data["begin"])),
                 "args": {},
             })
-        elif event.kind == SAMPLE:
-            rows.append({
-                "ph": "C", "pid": 1, "tid": tid,
-                "name": f"{event.node} internals",
-                "ts": _us(event.time),
-                "args": {
-                    "queue": event.data["queue"],
-                    "active": event.data["active"],
-                    "backlog": event.data["backlog"],
-                },
-            })
-            rows.append({
-                "ph": "C", "pid": 1, "tid": tid,
-                "name": f"{event.node} busy",
-                "ts": _us(event.time),
-                "args": {"busy": event.data["busy"]},
-            })
         elif event.kind in _INSTANT_KINDS:
             args = dict(event.data) if event.data else {}
             if event.rid is not None:
@@ -187,18 +170,71 @@ def chrome_trace_events(
     return rows
 
 
+def write_series_jsonl(recorder: FlightRecorder, stream: IO[str]) -> int:
+    """One JSON object per retained sample, globally time-ordered.
+
+    Ties are broken by (node, series) so output is byte-stable.
+    Returns the number of lines written (marks included).
+    """
+    rows = [
+        (time, node, name, value)
+        for (node, name), series in recorder.items()
+        for time, value in series.samples()
+    ]
+    rows.sort(key=lambda row: (row[0], row[1], row[2]))
+    for time, node, name, value in rows:
+        stream.write(
+            json.dumps(
+                {"ts": time, "node": node, "series": name, "value": value},
+                sort_keys=True,
+            )
+            + "\n"
+        )
+    for entry in recorder.marks:
+        stream.write(json.dumps({"mark": entry}, sort_keys=True) + "\n")
+    return len(rows) + len(recorder.marks)
+
+
+def series_counter_events(recorder: FlightRecorder) -> list[dict]:
+    """Perfetto counter ("C") rows for every retained probe sample.
+
+    Each (node, series) becomes its own counter track.
+    """
+    rows = [
+        {
+            "ph": "C",
+            "pid": 1,
+            "name": f"{node} {name}",
+            "ts": _us(time),
+            "args": {name: value},
+        }
+        for (node, name), series in recorder.items()
+        for time, value in series.samples()
+    ]
+    rows.sort(key=lambda row: (row["ts"], row["name"]))
+    return rows
+
+
 def write_chrome_trace(
-    tracer: RequestTracer,
     stream: IO[str],
-    registry: Optional[MetricsRegistry] = None,
+    tracer: Optional[RequestTracer] = None,
+    recorder: Optional[FlightRecorder] = None,
 ) -> int:
-    """Write the Chrome trace-event JSON document; returns the event count."""
-    events = chrome_trace_events(tracer, registry)
-    document = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"generator": "repro.obs", "events": len(tracer.events)},
-    }
+    """Write one Chrome trace-event JSON document; returns the event count.
+
+    The document holds the request spans of ``tracer`` and the counter
+    tracks of ``recorder``, whichever are given.
+    """
+    events: list[dict] = []
+    other: dict = {"generator": "repro.obs"}
+    if tracer is not None:
+        events.extend(chrome_trace_events(tracer))
+        other["events"] = len(tracer.events)
+    if recorder is not None:
+        events.extend(series_counter_events(recorder))
+        other["series"] = len(recorder)
+        other["samples"] = recorder.samples_recorded
+    document = {"traceEvents": events, "displayTimeUnit": "ms", "otherData": other}
     json.dump(document, stream, sort_keys=True)
     stream.write("\n")
     return len(events)

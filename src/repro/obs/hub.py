@@ -1,17 +1,18 @@
-"""The observability hub: one object wiring metrics + spans into a cluster.
+"""The observability hub: one object wiring tracing and probing into a cluster.
 
-Attach a hub to a built (not yet run) cluster and every replica and
-client gets an observer facade (``node.obs``); the hub optionally drives
-a periodic sampler for replica internals (queue depth, busy fraction,
-acceptance-buffer occupancy) and annotates fault windows from a
-:class:`~repro.cluster.faults.FaultSchedule` into the trace.
+Attach a hub to a built (not yet run) cluster and it drives the probe
+sampler (:mod:`repro.obs.probes`) into its flight recorder every
+:data:`~repro.obs.probes.SAMPLE_INTERVAL` of sim time.  A tracing hub
+also gives every replica and client an observer facade (``node.obs``)
+that records request lifecycles into its tracer.  Fault windows from a
+:class:`~repro.cluster.faults.FaultSchedule` are annotated into both.
 
-Observer-only contract: the sampler schedules pure *read* callbacks on
-the event loop.  Scheduling extra events shifts the loop's internal
-sequence numbers, but never the relative order of simulation events
-(ties between simulation events keep their original scheduling order),
-and the callbacks touch no protocol state and no RNG stream — so a run
-with a hub attached produces byte-identical results to one without.
+Observer-only contract: the sample tick is a pure *read* callback on
+the event loop.  Scheduling it shifts the loop's internal sequence
+numbers, but never the relative order of simulation events (ties
+between simulation events keep their original scheduling order), and
+it touches no protocol state and no RNG stream — so a run with a hub
+attached produces byte-identical results to one without.
 """
 
 from __future__ import annotations
@@ -19,81 +20,52 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.obs.probes import ProbeSampler
-from repro.obs.registry import MetricsRegistry
+from repro.obs.probes import SAMPLE_INTERVAL, ProbeSampler
 from repro.obs.spans import FAULT, ClientObserver, ReplicaObserver, RequestTracer
 from repro.obs.timeseries import FlightRecorder
 
 
 class ObservabilityHub:
-    """Bundles a tracer and a registry and wires them into a cluster.
+    """A flight recorder, and with ``trace=True`` a tracer, for one cluster.
 
-    With ``probes=True`` the hub also owns a flight recorder
-    (:class:`~repro.obs.timeseries.FlightRecorder`) and records a probe
-    sample of every node on the same tick that drives observer
-    sampling — probing schedules no loop events of its own, so a probed
-    run and a merely-observed run see the identical event sequence.
+    Tracing and probing share the one sample tick, so a traced run and
+    a probes-only run see the identical event sequence.
     """
 
-    def __init__(
-        self,
-        sample_interval: float = 0.01,
-        max_events: int = 2_000_000,
-        probes: bool = False,
-    ):
-        if sample_interval <= 0:
-            raise ValueError(
-                f"sample interval must be positive, got {sample_interval}"
-            )
-        self.sample_interval = sample_interval
-        self.tracer = RequestTracer(max_events=max_events)
-        self.registry = MetricsRegistry()
+    def __init__(self, trace: bool = True):
+        self.tracer: Optional[RequestTracer] = RequestTracer() if trace else None
+        self.recorder = FlightRecorder()
+        self._sampler = ProbeSampler(self.recorder)
         self.cluster = None
         self._sampling_until = -math.inf
-        self.recorder: Optional[FlightRecorder] = None
-        self._probe_sampler: Optional[ProbeSampler] = None
-        if probes:
-            self.recorder = FlightRecorder()
-            self._probe_sampler = ProbeSampler(self.recorder, sample_interval)
 
-    def attach(self, cluster, horizon: Optional[float] = None) -> "ObservabilityHub":
-        """Wire observers into every node of ``cluster``.
-
-        ``horizon`` bounds the periodic sampler (pass the run duration);
-        with ``None`` no sampling events are scheduled and only
-        event-driven instrumentation records.
-        """
+    def attach(self, cluster, horizon: float) -> "ObservabilityHub":
+        """Wire the hub into ``cluster`` and sample until ``horizon``."""
         self.cluster = cluster
-        cluster.observability = self
-        for replica in cluster.replicas:
-            self.attach_replica(replica)
-        for client in cluster.clients:
-            client.obs = ClientObserver(self.tracer, self.registry, client)
-        if horizon is not None:
-            self._sampling_until = horizon
-            cluster.loop.call_after(self.sample_interval, self._sample_tick)
+        if self.tracer is not None:
+            cluster.observability = self
+            for replica in cluster.replicas:
+                self.attach_replica(replica)
+            for client in cluster.clients:
+                client.obs = ClientObserver(self.tracer, client)
+        self._sampling_until = horizon
+        cluster.loop.call_after(SAMPLE_INTERVAL, self._sample_tick)
         return self
 
     def attach_replica(self, replica) -> None:
         """Attach a fresh observer to ``replica`` (also used on recovery)."""
-        replica.obs = ReplicaObserver(self.tracer, self.registry, replica)
+        replica.obs = ReplicaObserver(self.tracer, replica)
 
     def _sample_tick(self) -> None:
         cluster = self.cluster
-        for replica in cluster.replicas:
-            observer = replica.obs
-            if observer is not None:
-                observer.sample(self.sample_interval)
-        if self._probe_sampler is not None:
-            self._probe_sampler.sample(cluster)
-        next_time = cluster.loop.now + self.sample_interval
-        if next_time <= self._sampling_until:
-            cluster.loop.call_after(self.sample_interval, self._sample_tick)
+        self._sampler.sample(cluster)
+        if cluster.loop.now + SAMPLE_INTERVAL <= self._sampling_until:
+            cluster.loop.call_after(SAMPLE_INTERVAL, self._sample_tick)
 
     # -- fault-window annotation --------------------------------------
 
     def annotate_faults(self, schedule, horizon: float) -> None:
-        """Record each fault of ``schedule`` as a window in the trace.
+        """Record each fault of ``schedule`` as a window in both stores.
 
         Crashes extend to the matching recovery (or the horizon),
         partitions to the matching heal; duration-bearing faults carry
@@ -144,9 +116,10 @@ class ObservabilityHub:
                 continue  # represented as the end of its crash window
             else:
                 label = fault.describe()
-            self.tracer.emit(
-                fault.time, "faults", FAULT, None,
-                {"label": label, "begin": fault.time, "end": min(end, horizon)},
-            )
-            if self.recorder is not None:
-                self.recorder.mark(fault.time, min(end, horizon), str(label))
+            end = min(end, horizon)
+            if self.tracer is not None:
+                self.tracer.emit(
+                    fault.time, "faults", FAULT, None,
+                    {"label": label, "begin": fault.time, "end": end},
+                )
+            self.recorder.mark(fault.time, end, str(label))

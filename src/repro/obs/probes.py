@@ -5,17 +5,16 @@ probe layer samples *replica state* (levels): active-set occupancy,
 admission threshold, queue depth, busy fraction, in-flight consensus
 rounds, timer population, and the client population's retry
 amplification.  Each protocol object answers through one introspection
-method — :meth:`Probeable.probe_state` — returning a flat
-``{series name: float}`` dict; the sampler records every entry into the
-flight recorder (:mod:`repro.obs.timeseries`) under the node's name.
+method, ``probe_state()``, returning a flat ``{series name: float}``
+dict; the sampler records every entry into the flight recorder
+(:mod:`repro.obs.timeseries`) under the node's name.
 
 ``probe_state`` implementations live on the protocol classes
 (``BaseReplica`` and its paxos/bftsmart/IDEM subclasses, and
 ``BaseClient``) because only they know their own state dicts; the
 contract is that the method is **read-only** and returns plain floats.
-The sampler is driven by the observability hub on the same sim-time
-cadence as observer sampling, so enabling probes schedules no loop
-events beyond the ones observer sampling already schedules.
+The observability hub drives the sampler every :data:`SAMPLE_INTERVAL`
+of sim time; that tick is the only loop event ``repro.obs`` schedules.
 
 Derived series the sampler computes from deltas between ticks:
 
@@ -40,18 +39,10 @@ of the same seed to measure identically).
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 from repro.obs.timeseries import FlightRecorder
 
-
-@runtime_checkable
-class Probeable(Protocol):
-    """An object that can report its internal state as flat series."""
-
-    def probe_state(self) -> dict[str, float]:
-        """A ``{series name: value}`` snapshot; read-only, floats only."""
-        ...
+#: Sim-time seconds between two probe passes.
+SAMPLE_INTERVAL = 0.01
 
 
 class ProbeSampler:
@@ -63,11 +54,8 @@ class ProbeSampler:
     the same name) keeps the delta baseline.
     """
 
-    def __init__(self, recorder: FlightRecorder, interval: float):
-        if interval <= 0:
-            raise ValueError(f"probe interval must be positive, got {interval}")
+    def __init__(self, recorder: FlightRecorder):
         self.recorder = recorder
-        self.interval = interval
         self._last_busy: dict[str, float] = {}
         self._last_rejected: dict[str, float] = {}
         self._last_executed: dict[str, float] = {}
@@ -93,29 +81,26 @@ class ProbeSampler:
 
     def _record_rates(self, now: float, node: str, state: dict) -> None:
         """Derived per-tick series: busy fraction and event rates."""
-        interval = self.interval
         busy = state.get("busy_time", 0.0)
         previous_busy = self._last_busy.get(node, 0.0)
         self._last_busy[node] = busy
         # A recovery gap spans several ticks of accrued busy time; the
         # clamp keeps the fraction honest after it.
-        busy_frac = min(1.0, max(0.0, busy - previous_busy) / interval)
+        busy_frac = min(1.0, max(0.0, busy - previous_busy) / SAMPLE_INTERVAL)
         recorder = self.recorder
         recorder.record(now, node, "busy_frac", busy_frac)
 
         rejected = state.get("rejected_total", 0.0)
         previous_rejected = self._last_rejected.get(node, 0.0)
         self._last_rejected[node] = rejected
-        recorder.record(
-            now, node, "reject_rate", max(0.0, rejected - previous_rejected) / interval
-        )
+        rate = max(0.0, rejected - previous_rejected) / SAMPLE_INTERVAL
+        recorder.record(now, node, "reject_rate", rate)
 
         executed = state.get("executed_total", 0.0)
         previous_executed = self._last_executed.get(node, 0.0)
         self._last_executed[node] = executed
-        recorder.record(
-            now, node, "exec_rate", max(0.0, executed - previous_executed) / interval
-        )
+        rate = max(0.0, executed - previous_executed) / SAMPLE_INTERVAL
+        recorder.record(now, node, "exec_rate", rate)
 
     def _sample_clients(self, now: float, cluster) -> None:
         """Aggregate the client population onto the ``clients`` node."""

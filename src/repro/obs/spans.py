@@ -10,16 +10,14 @@ analysis layer reconstructs a causal span tree per request::
         -> quorum -> exec -> reply_sent -> client_outcome
 
 The observers are pure *observers*: they read ``loop.now`` and protocol
-state, append to lists and bump registry metrics, but never schedule
-events, never draw randomness and never mutate protocol state.  A run
-with observers attached is therefore bit-identical to one without.
+state and append to the tracer, but never schedule events, never draw
+randomness and never mutate protocol state.  A run with observers
+attached is therefore bit-identical to one without.
 """
 
 from __future__ import annotations
 
 from typing import Any, NamedTuple, Optional
-
-from repro.obs.registry import MetricsRegistry
 
 Rid = tuple[int, int]
 
@@ -45,7 +43,6 @@ FETCH = "fetch"
 VC_START = "vc_start"
 NEWVIEW = "newview"
 VC_DONE = "view_installed"
-SAMPLE = "sample"
 FAULT = "fault"
 
 
@@ -105,43 +102,38 @@ class RequestTracer:
 class ReplicaObserver:
     """Observer facade attached to one replica as ``replica.obs``.
 
-    The replica calls these hooks from its protocol code; each hook is a
-    few appends and dict updates.  When no observer is attached the
+    The replica calls these hooks from its protocol code; each hook
+    appends one trace row.  When no observer is attached the
     replica's ``if self.obs is not None`` guard is the only cost.
     """
 
-    def __init__(self, tracer: RequestTracer, registry: MetricsRegistry, replica):
+    def __init__(self, tracer: RequestTracer, replica):
         self.tracer = tracer
-        self.registry = registry
         self.replica = replica
         self.node = f"replica-{replica.index}"
         # Observer-side bookkeeping (never protocol state).
         self._quorum_seen: set[tuple[int, int]] = set()
         self._exec_pending: dict[int, tuple[float, float]] = {}
         self._vc_started_at: Optional[float] = None
-        self._last_busy_time = 0.0
 
     def _now(self) -> float:
         return self.replica.loop.now
 
     # -- message handling ---------------------------------------------
 
-    def on_deliver(self, type_name: str, cost: float, rid: Optional[Rid]) -> None:
-        """A message reached this replica's processor queue."""
-        now = self._now()
-        queue_depth = self.replica.processor.queue_length
-        self.registry.counter("messages_received", node=self.node, type=type_name).inc()
-        self.registry.histogram("handling_cost", node=self.node, type=type_name).observe(cost)
-        self.registry.histogram("queue_depth_at_arrival", node=self.node).observe(queue_depth)
+    def on_deliver(self, rid: Optional[Rid]) -> None:
+        """A message (a client request when ``rid`` is set) reached this
+        replica's processor queue."""
         if rid is not None:
-            self.tracer.emit(now, self.node, RECV, rid, {"queue": queue_depth})
+            self.tracer.emit(
+                self._now(), self.node, RECV, rid,
+                {"queue": self.replica.processor.queue_length},
+            )
 
     # -- acceptance / rejection ---------------------------------------
 
     def on_accept(self, rid: Rid, active_count: int, threshold: Optional[int]) -> None:
         """The acceptance test admitted a fresh client request."""
-        self.registry.counter("accepts", node=self.node).inc()
-        self._note_decision(active_count, threshold)
         self.tracer.emit(
             self._now(), self.node, ACCEPT, rid,
             {"active": active_count, "threshold": threshold},
@@ -151,24 +143,15 @@ class ReplicaObserver:
         self, rid: Rid, active_count: int, threshold: Optional[int], reason: str
     ) -> None:
         """The acceptance test rejected a fresh client request."""
-        self.registry.counter("rejects", node=self.node, reason=reason).inc()
-        self._note_decision(active_count, threshold)
         self.tracer.emit(
             self._now(), self.node, REJECT, rid,
             {"active": active_count, "threshold": threshold, "reason": reason},
         )
 
-    def _note_decision(self, active_count: int, threshold: Optional[int]) -> None:
-        self.registry.histogram("active_at_decision", node=self.node).observe(active_count)
-        if threshold is not None:
-            self.registry.gauge("reject_threshold", node=self.node).set(threshold)
-
     # -- ordering ------------------------------------------------------
 
     def on_propose(self, view: int, sqn: int, rids: tuple[Rid, ...]) -> None:
         """This replica (as leader) proposed a batch at ``sqn``."""
-        self.registry.counter("proposals", node=self.node).inc()
-        self.registry.histogram("propose_batch_size", node=self.node).observe(len(rids))
         self.tracer.emit(
             self._now(), self.node, PROPOSE, None,
             {"sqn": sqn, "view": view, "rids": list(rids)},
@@ -180,7 +163,6 @@ class ReplicaObserver:
         if key in self._quorum_seen:
             return
         self._quorum_seen.add(key)
-        self.registry.counter("quorums", node=self.node).inc()
         self.tracer.emit(
             self._now(), self.node, QUORUM, None,
             {"sqn": instance.sqn, "view": instance.view, "rids": list(instance.rids)},
@@ -188,11 +170,9 @@ class ReplicaObserver:
 
     # -- execution -----------------------------------------------------
 
-    def on_exec_scheduled(self, sqn: int, cost: float, batch_size: int) -> None:
+    def on_exec_scheduled(self, sqn: int, cost: float) -> None:
         """An execution job for ``sqn`` entered the processor queue."""
         self._exec_pending[sqn] = (self._now(), cost)
-        self.registry.histogram("exec_batch_size", node=self.node).observe(batch_size)
-        self.registry.histogram("exec_cost", node=self.node).observe(cost)
 
     def on_execute(self, sqn: int, rid: Rid) -> None:
         """One request of instance ``sqn`` was applied to the state machine."""
@@ -208,24 +188,20 @@ class ReplicaObserver:
 
     def on_reply(self, rid: Rid) -> None:
         """A REPLY for ``rid`` left this replica."""
-        self.registry.counter("replies", node=self.node).inc()
         self.tracer.emit(self._now(), self.node, REPLY_SENT, rid, None)
 
     # -- IDEM forwarding ----------------------------------------------
 
     def on_forward(self, rid: Rid) -> None:
         """This replica forwarded the body of ``rid`` to its peers."""
-        self.registry.counter("forwards", node=self.node).inc()
         self.tracer.emit(self._now(), self.node, FORWARD, rid, None)
 
     def on_adopt(self, rid: Rid) -> None:
         """This replica adopted a forwarded body it had not accepted."""
-        self.registry.counter("adopted_forwards", node=self.node).inc()
         self.tracer.emit(self._now(), self.node, ADOPT, rid, None)
 
     def on_fetch(self, rid: Rid) -> None:
         """This replica asked its peers for a missing body."""
-        self.registry.counter("fetches", node=self.node).inc()
         self.tracer.emit(self._now(), self.node, FETCH, rid, None)
 
     # -- view changes --------------------------------------------------
@@ -235,12 +211,10 @@ class ReplicaObserver:
         now = self._now()
         if self._vc_started_at is None:
             self._vc_started_at = now
-        self.registry.counter("view_changes_started", node=self.node).inc()
         self.tracer.emit(now, self.node, VC_START, None, {"target": target_view})
 
     def on_newview(self, view: int, entries: int) -> None:
         """This replica (as new leader) sent NEWVIEW for ``view``."""
-        self.registry.counter("newviews_sent", node=self.node).inc()
         self.tracer.emit(
             self._now(), self.node, NEWVIEW, None,
             {"view": view, "entries": entries},
@@ -249,55 +223,18 @@ class ReplicaObserver:
     def on_view_installed(self, view: int) -> None:
         """This replica entered ``view`` (closes the view-change span)."""
         now = self._now()
-        if self._vc_started_at is not None:
-            self.registry.histogram("view_change_duration", node=self.node).observe(
-                now - self._vc_started_at
-            )
-            begin = self._vc_started_at
-            self._vc_started_at = None
-        else:
-            begin = now
-        self.registry.counter("views_installed", node=self.node).inc()
+        # ``begin == time`` marks a view this replica entered without
+        # having started a view change itself.
+        begin = now if self._vc_started_at is None else self._vc_started_at
+        self._vc_started_at = None
         self.tracer.emit(now, self.node, VC_DONE, None, {"view": view, "begin": begin})
-
-    # -- periodic sampling (driven by the hub) -------------------------
-
-    def sample(self, elapsed_interval: float) -> None:
-        """Record one periodic sample of this replica's internals."""
-        replica = self.replica
-        if replica.halted:
-            return
-        now = self._now()
-        processor = replica.processor
-        busy_delta = processor.busy_time - self._last_busy_time
-        self._last_busy_time = processor.busy_time
-        busy_fraction = (
-            min(1.0, busy_delta / elapsed_interval) if elapsed_interval > 0 else 0.0
-        )
-        queue = processor.queue_length
-        active = len(getattr(replica, "active", ()))
-        backlog = replica.next_sqn - 1 - replica.exec_sqn
-        self.registry.gauge("queue_depth", node=self.node).set(queue)
-        self.registry.gauge("busy_fraction", node=self.node).set(busy_fraction)
-        self.registry.gauge("active_slots", node=self.node).set(active)
-        self.registry.gauge("window_backlog", node=self.node).set(backlog)
-        self.tracer.emit(
-            now, self.node, SAMPLE, None,
-            {
-                "queue": queue,
-                "busy": round(busy_fraction, 4),
-                "active": active,
-                "backlog": backlog,
-            },
-        )
 
 
 class ClientObserver:
     """Observer facade attached to one client as ``client.obs``."""
 
-    def __init__(self, tracer: RequestTracer, registry: MetricsRegistry, client):
+    def __init__(self, tracer: RequestTracer, client):
         self.tracer = tracer
-        self.registry = registry
         self.client = client
         self.node = f"client-{client.cid}"
 
@@ -307,9 +244,6 @@ class ClientObserver:
     def on_send(self, rid: Rid, retransmit: bool = False) -> None:
         """The client put a request (or a retransmission) on the wire."""
         kind = CLIENT_RETRANSMIT if retransmit else CLIENT_SEND
-        self.registry.counter(
-            "client_retransmits" if retransmit else "client_sends", node=self.node
-        ).inc()
         self.tracer.emit(self._now(), self.node, kind, rid, None)
 
     def on_reject_recv(self, rid: Rid, src_index: int) -> None:
@@ -320,9 +254,6 @@ class ClientObserver:
 
     def on_retry(self, rid: Rid, outcome: str, attempt: int, delay: float) -> None:
         """The resilience policy retries after ``outcome`` of ``attempt``."""
-        self.registry.counter(
-            "client_retries", node=self.node, outcome=outcome
-        ).inc()
         self.tracer.emit(
             self._now(), self.node, CLIENT_RETRY, rid,
             {"outcome": outcome, "attempt": attempt, "delay": delay},
@@ -330,22 +261,17 @@ class ClientObserver:
 
     def on_hedge(self, rid: Rid) -> None:
         """A hedged duplicate of the pending request went on the wire."""
-        self.registry.counter("client_hedges", node=self.node).inc()
         self.tracer.emit(self._now(), self.node, CLIENT_HEDGE, rid, None)
 
     def on_give_up(self, rid: Rid, reason: str) -> None:
         """A retrying policy stopped retrying (cap hit): ``reason`` names
         the binding cap (max-attempts, deadline, budget)."""
-        self.registry.counter(
-            "client_give_ups", node=self.node, reason=reason
-        ).inc()
         self.tracer.emit(
             self._now(), self.node, CLIENT_GIVE_UP, rid, {"reason": reason}
         )
 
     def on_outcome(self, rid: Rid, outcome: str, latency: float) -> None:
         """The operation finished: ``success``, ``rejected`` or ``timeout``."""
-        self.registry.counter("client_outcomes", node=self.node, outcome=outcome).inc()
         self.tracer.emit(
             self._now(), self.node, CLIENT_OUTCOME, rid,
             {"outcome": outcome, "latency": latency},

@@ -1,24 +1,10 @@
 """The time-series flight recorder: bounded per-(node, series) history.
 
 The probe layer (:mod:`repro.obs.probes`) samples protocol internals on
-the hub's sim-time cadence and records each value here.  Storage per
-series is a **ring buffer** — the newest ``maxlen`` samples are kept
-verbatim, older ones are evicted — plus a **fixed-bin percentile
-sketch** that absorbs *every* sample ever recorded, so quantiles stay
-meaningful after eviction.  The sketch's bins are fixed a priori
-(log-spaced over ``[0, SKETCH_CAP]``), never data-adapted: recording
-order cannot change bin boundaries, which keeps the recorder
-hash-seed- and history-independent.
-
-Windowed aggregation (:meth:`Series.window`) reduces any sim-time
-interval of the retained samples to min/max/mean/last/count; quantiles
-come from the lifetime sketch (:meth:`Series.quantile`), which is
-monotone in ``q`` by construction.
-
-Exports mirror :mod:`repro.obs.export`: one-sample-per-line JSONL
-(:func:`write_series_jsonl`) and Perfetto counter tracks
-(:func:`series_counter_events`) that slot into the Chrome trace-event
-document next to the span exporter's rows.
+the hub's sim-time cadence and records each value here.  A series keeps
+its newest :data:`DEFAULT_MAXLEN` samples verbatim, in time order;
+older ones are dropped.  Summaries of a series are the science path's
+exact :class:`~repro.sim.monitor.SummaryStats` over its retained values.
 
 Like everything in ``repro.obs`` the recorder is observer-pure: it only
 ever *reads* simulation state handed to it and appends to its own
@@ -27,211 +13,72 @@ buffers — no RNG, no scheduling, no protocol mutation.
 
 from __future__ import annotations
 
-import json
+import bisect
 import math
-from typing import IO, Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
-#: Default ring capacity per (node, series).
+#: Samples retained per (node, series): 40.96 s at the 10 ms cadence.
 DEFAULT_MAXLEN = 4096
-
-#: Fixed sketch domain: values are clamped into [0, SKETCH_CAP] before
-#: binning.  Probe values are counts, fractions and small totals; 1e9
-#: leaves headroom for counter series over any plausible run.
-SKETCH_CAP = 1e9
-
-#: Log-spaced bins per decade of (1 + value).
-SKETCH_BINS_PER_DECADE = 32
-
-
-class WindowStats(NamedTuple):
-    """Aggregate of the retained samples inside one sim-time window."""
-
-    count: int
-    min: float
-    max: float
-    mean: float
-    last: float
-
-    @staticmethod
-    def empty() -> "WindowStats":
-        return WindowStats(0, math.nan, math.nan, math.nan, math.nan)
-
-
-class PercentileSketch:
-    """Fixed-bin percentile sketch over ``[0, cap]``.
-
-    Bin ``i`` covers values with ``floor(bpd * log10(1 + v))`` equal to
-    ``i``; the bin layout is a constant of the class parameters, never
-    of the data.  ``quantile`` interpolates linearly inside the winning
-    bin, which makes it monotone in ``q`` and exact for single-valued
-    bins.  Negative values clamp to bin 0, values above ``cap`` to the
-    last bin (both still move min/max, so the clamp is visible).
-    """
-
-    def __init__(
-        self,
-        cap: float = SKETCH_CAP,
-        bins_per_decade: int = SKETCH_BINS_PER_DECADE,
-    ):
-        if cap <= 0:
-            raise ValueError(f"sketch cap must be positive, got {cap}")
-        if bins_per_decade < 1:
-            raise ValueError(
-                f"bins per decade must be at least 1, got {bins_per_decade}"
-            )
-        self.cap = cap
-        self.bins_per_decade = bins_per_decade
-        self.bin_count = int(bins_per_decade * math.log10(1.0 + cap)) + 1
-        self._counts = [0] * self.bin_count
-        self.total = 0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def _bin_of(self, value: float) -> int:
-        clamped = min(max(value, 0.0), self.cap)
-        index = int(self.bins_per_decade * math.log10(1.0 + clamped))
-        return min(index, self.bin_count - 1)
-
-    def _bin_lower(self, index: int) -> float:
-        return 10.0 ** (index / self.bins_per_decade) - 1.0
-
-    def add(self, value: float) -> None:
-        self._counts[self._bin_of(value)] += 1
-        self.total += 1
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def quantile(self, q: float) -> float:
-        """The approximate ``q``-quantile of everything ever added.
-
-        Monotone in ``q``; returns NaN while the sketch is empty.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.total == 0:
-            return math.nan
-        rank = q * (self.total - 1)
-        cumulative = 0
-        for index, count in enumerate(self._counts):
-            if count == 0:
-                continue
-            if cumulative + count > rank:
-                lower = self._bin_lower(index)
-                upper = self._bin_lower(index + 1)
-                # Position of the rank inside this bin, interpolated.
-                within = (rank - cumulative) / count
-                value = lower + within * (upper - lower)
-                # Tighten with the exact extremes we tracked.
-                return min(max(value, self.min), self.max)
-            cumulative += count
-        return self.max
 
 
 class Series:
-    """One bounded (time, value) history plus its lifetime sketch."""
+    """One (time, value) history: the newest samples, oldest first."""
 
-    __slots__ = (
-        "node",
-        "name",
-        "maxlen",
-        "_times",
-        "_values",
-        "_head",
-        "count",
-        "evicted",
-        "last_time",
-        "last_value",
-        "sketch",
-    )
+    __slots__ = ("node", "name", "_times", "_values", "count")
 
-    def __init__(self, node: str, name: str, maxlen: int = DEFAULT_MAXLEN):
-        if maxlen < 1:
-            raise ValueError(f"series maxlen must be at least 1, got {maxlen}")
+    def __init__(self, node: str, name: str):
         self.node = node
         self.name = name
-        self.maxlen = maxlen
         self._times: list[float] = []
         self._values: list[float] = []
-        self._head = 0  # ring start once the buffer is full
         self.count = 0  # lifetime samples (retained + evicted)
-        self.evicted = 0
-        self.last_time = math.nan
-        self.last_value = math.nan
-        self.sketch = PercentileSketch()
 
     def record(self, time: float, value: float) -> None:
-        """Append one sample (evicting the oldest when full)."""
-        if len(self._times) < self.maxlen:
-            self._times.append(time)
-            self._values.append(value)
-        else:
-            head = self._head
-            self._times[head] = time
-            self._values[head] = value
-            self._head = (head + 1) % self.maxlen
-            self.evicted += 1
+        """Append one sample (dropping the oldest past the capacity).
+
+        Samples arrive in time order, which keeps ``_times`` sorted for
+        :meth:`value_at`.
+        """
+        self._times.append(time)
+        self._values.append(value)
+        if len(self._times) > DEFAULT_MAXLEN:
+            del self._times[0]
+            del self._values[0]
         self.count += 1
-        self.last_time = time
-        self.last_value = value
-        self.sketch.add(value)
 
     def __len__(self) -> int:
         return len(self._times)
 
+    @property
+    def evicted(self) -> int:
+        """Samples dropped to keep the capacity."""
+        return self.count - len(self._times)
+
+    @property
+    def last_time(self) -> float:
+        return self._times[-1] if self._times else math.nan
+
+    @property
+    def last_value(self) -> float:
+        return self._values[-1] if self._values else math.nan
+
     def samples(self) -> Iterator[tuple[float, float]]:
         """Retained samples, oldest first."""
-        size = len(self._times)
-        head = self._head
-        for offset in range(size):
-            index = (head + offset) % size if size == self.maxlen else offset
-            yield self._times[index], self._values[index]
+        return zip(self._times, self._values)
 
     def times(self) -> list[float]:
-        return [time for time, _ in self.samples()]
+        return list(self._times)
 
     def values(self) -> list[float]:
-        return [value for _, value in self.samples()]
+        return list(self._values)
 
     def value_at(self, time: float) -> float:
         """The last retained value recorded at or before ``time``.
 
         NaN when ``time`` predates every retained sample.
         """
-        result = math.nan
-        for sample_time, value in self.samples():
-            if sample_time > time:
-                break
-            result = value
-        return result
-
-    def window(self, start: float, end: float) -> WindowStats:
-        """Aggregate the retained samples with ``start <= t <= end``."""
-        count = 0
-        minimum = math.inf
-        maximum = -math.inf
-        total = 0.0
-        last = math.nan
-        for time, value in self.samples():
-            if time < start:
-                continue
-            if time > end:
-                break
-            count += 1
-            total += value
-            last = value
-            if value < minimum:
-                minimum = value
-            if value > maximum:
-                maximum = value
-        if count == 0:
-            return WindowStats.empty()
-        return WindowStats(count, minimum, maximum, total / count, last)
-
-    def quantile(self, q: float) -> float:
-        """Lifetime quantile (sketch-backed; survives ring eviction)."""
-        return self.sketch.quantile(q)
+        index = bisect.bisect_right(self._times, time)
+        return self._values[index - 1] if index else math.nan
 
 
 class FlightRecorder:
@@ -242,8 +89,7 @@ class FlightRecorder:
     of ``PYTHONHASHSEED``.
     """
 
-    def __init__(self, maxlen: int = DEFAULT_MAXLEN):
-        self.maxlen = maxlen
+    def __init__(self) -> None:
         self._series: dict[tuple[str, str], Series] = {}
         # Annotation marks (fault windows): dicts with time/end/label.
         self.marks: list[dict] = []
@@ -254,8 +100,7 @@ class FlightRecorder:
         key = (node, name)
         series = self._series.get(key)
         if series is None:
-            series = Series(node, name, self.maxlen)
-            self._series[key] = series
+            series = self._series[key] = Series(node, name)
         series.record(time, value)
         self.samples_recorded += 1
 
@@ -280,81 +125,3 @@ class FlightRecorder:
 
     def __len__(self) -> int:
         return len(self._series)
-
-    def window(self, node: str, name: str, start: float, end: float) -> WindowStats:
-        series = self._series.get((node, name))
-        if series is None:
-            return WindowStats.empty()
-        return series.window(start, end)
-
-
-# -- exports -----------------------------------------------------------
-
-
-def write_series_jsonl(recorder: FlightRecorder, stream: IO[str]) -> int:
-    """One JSON object per retained sample, globally time-ordered.
-
-    Ties are broken by (node, series) so output is byte-stable.
-    Returns the number of lines written (marks included).
-    """
-    rows = [
-        (time, node, name, value)
-        for (node, name), series in recorder.items()
-        for time, value in series.samples()
-    ]
-    rows.sort(key=lambda row: (row[0], row[1], row[2]))
-    written = 0
-    for time, node, name, value in rows:
-        stream.write(
-            json.dumps(
-                {"ts": time, "node": node, "series": name, "value": value},
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        written += 1
-    for entry in recorder.marks:
-        stream.write(json.dumps({"mark": entry}, sort_keys=True) + "\n")
-        written += 1
-    return written
-
-
-def series_counter_events(recorder: FlightRecorder) -> list[dict]:
-    """Perfetto counter ("C") rows for every retained probe sample.
-
-    Same schema as the span exporter's sample counters
-    (:func:`repro.obs.export.chrome_trace_events`); each (node, series)
-    becomes its own counter track.  Ready to extend a ``traceEvents``
-    list or to stand alone in a minimal document.
-    """
-    rows: list[dict] = []
-    for (node, name), series in recorder.items():
-        for time, value in series.samples():
-            rows.append(
-                {
-                    "ph": "C",
-                    "pid": 1,
-                    "name": f"{node} {name}",
-                    "ts": time * 1e6,
-                    "args": {name: value},
-                }
-            )
-    rows.sort(key=lambda row: (row["ts"], row["name"]))
-    return rows
-
-
-def write_series_chrome_trace(recorder: FlightRecorder, stream: IO[str]) -> int:
-    """A standalone Chrome trace-event document of the counter tracks."""
-    events = series_counter_events(recorder)
-    document = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "generator": "repro.obs.timeseries",
-            "series": len(recorder),
-            "samples": recorder.samples_recorded,
-        },
-    }
-    json.dump(document, stream, sort_keys=True)
-    stream.write("\n")
-    return len(events)

@@ -246,7 +246,7 @@ class BaseReplica(NetworkNode):
     def probe_state(self) -> dict[str, float]:
         """Flat snapshot of protocol internals for the probe layer.
 
-        Read-only by contract (``repro.obs.probes.Probeable``): values
+        Read-only by contract (``repro.obs.probes``): values
         are plain floats, computing them must not touch any state.
         Subclasses extend the dict with their admission bookkeeping
         (``active_slots``, ``admission_threshold``).
@@ -293,7 +293,7 @@ class BaseReplica(NetworkNode):
         cost = self._receive_cost(message)
         if self.obs is not None:
             rid = message.rid if type(message) is Request else None
-            self.obs.on_deliver(message.type_name(), cost, rid)
+            self.obs.on_deliver(rid)
         self.processor.submit(cost, self._dispatch, src, message)
 
     def _receive_cost(self, message: Message) -> float:
@@ -549,7 +549,7 @@ class BaseReplica(NetworkNode):
         )
         self._exec_scheduled = True
         if self.obs is not None:
-            self.obs.on_exec_scheduled(instance.sqn, cost, len(bodies))
+            self.obs.on_exec_scheduled(instance.sqn, cost)
         self.processor.submit(cost, self._apply_instance, instance, bodies)
 
     def _apply_instance(

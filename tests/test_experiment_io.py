@@ -3,7 +3,7 @@
 import json
 
 from repro.experiments.io import save_json, to_jsonable
-from repro.obs import WindowStats
+from repro.obs import TraceEvent
 from repro.sim.monitor import SummaryStats
 
 from tests.test_experiments import make_point
@@ -30,8 +30,9 @@ class TestToJsonable:
         assert jsonable["count"] == 3
 
     def test_namedtuples(self):
-        jsonable = to_jsonable(WindowStats(3, 1.0, 2.0, 1.5, 2.0))
-        assert jsonable["mean"] == 1.5
+        jsonable = to_jsonable(TraceEvent(1.5, "replica-0", "recv", (3, 1), None))
+        assert jsonable["time"] == 1.5
+        assert jsonable["rid"] == [3, 1]
         json.dumps(jsonable)
 
     def test_unknown_objects_fall_back_to_repr(self):

@@ -16,14 +16,14 @@ import pytest
 from repro.app.commands import Command, KvOp
 from repro.cluster.builder import build_cluster
 from repro.core.replica import IdemReplica
-from repro.obs import DetectorConfig, FlightRecorder, run_detectors
+from repro.obs import SAMPLE_INTERVAL, FlightRecorder, run_detectors
+from repro.obs.detect import MIN_WINDOW
 from repro.protocols.base import BaseReplica
 from repro.protocols.messages import CheckpointRequest, Request
 
 from tests.conftest import assert_active_index_consistent, small_profile
 
-INTERVAL = 0.01
-CONFIG = DetectorConfig(interval=INTERVAL)
+INTERVAL = SAMPLE_INTERVAL
 
 
 def _record_ticks(recorder, node, start, end, **series):
@@ -48,11 +48,11 @@ class TestActiveSetLeakRule:
             recorder, "replica-0", 0.0, 1.0,
             up=1.0, dead_slots=1.0, active_slots=5.0, admission_threshold=5.0,
         )
-        findings = run_detectors(recorder, CONFIG)
+        findings = run_detectors(recorder)
         assert _rules(findings) == ["active_set_leak"]
         finding = findings[0]
         assert finding.node == "replica-0"
-        assert finding.end - finding.start >= CONFIG.min_window
+        assert finding.end - finding.start >= MIN_WINDOW
         assert finding.evidence["dead_end"] == 1.0
         assert finding.evidence["threshold"] == 5.0
 
@@ -62,7 +62,7 @@ class TestActiveSetLeakRule:
             recorder, "replica-0", 0.0, 1.0,
             up=1.0, dead_slots=lambda t: 1.0 + int(t * 4),
         )
-        findings = run_detectors(recorder, CONFIG)
+        findings = run_detectors(recorder)
         assert "active_set_leak" in _rules(findings)
 
     def test_promptly_released_slots_do_not_fire(self):
@@ -73,29 +73,29 @@ class TestActiveSetLeakRule:
             recorder, "replica-0", 0.0, 2.0,
             up=1.0, dead_slots=lambda t: 1.0 if (t % 0.5) < 0.2 else 0.0,
         )
-        assert run_detectors(recorder, CONFIG) == []
+        assert run_detectors(recorder) == []
 
     def test_decreasing_count_breaks_the_window(self):
         recorder = FlightRecorder()
         # Climbs for 0.4 s, releases one, climbs for 0.4 s: each leg is
-        # shorter than min_window, so no finding.
+        # shorter than MIN_WINDOW, so no finding.
         _record_ticks(
             recorder, "replica-0", 0.0, 0.8,
             up=1.0, dead_slots=lambda t: 2.0 if 0.35 < t <= 0.45 else 3.0,
         )
-        assert run_detectors(recorder, CONFIG) == []
+        assert run_detectors(recorder) == []
 
     def test_downtime_gap_breaks_the_window(self):
         recorder = FlightRecorder()
         _record_ticks(recorder, "replica-0", 0.0, 0.3, up=1.0, dead_slots=1.0)
         # 0.4 s sampling gap (crash), then another short stretch.
         _record_ticks(recorder, "replica-0", 0.7, 1.0, up=1.0, dead_slots=1.0)
-        assert run_detectors(recorder, CONFIG) == []
+        assert run_detectors(recorder) == []
 
     def test_halted_replica_does_not_fire(self):
         recorder = FlightRecorder()
         _record_ticks(recorder, "replica-0", 0.0, 1.0, up=0.0, dead_slots=2.0)
-        assert run_detectors(recorder, CONFIG) == []
+        assert run_detectors(recorder) == []
 
     def test_protocol_without_dedup_series_is_exempt(self):
         recorder = FlightRecorder()
@@ -103,7 +103,7 @@ class TestActiveSetLeakRule:
             recorder, "replica-0", 0.0, 1.0,
             up=1.0, active_slots=50.0, admission_threshold=50.0,
         )
-        assert "active_set_leak" not in _rules(run_detectors(recorder, CONFIG))
+        assert "active_set_leak" not in _rules(run_detectors(recorder))
 
 
 class TestOtherRules:
@@ -114,7 +114,7 @@ class TestOtherRules:
             up=1.0, active_slots=5.0, admission_threshold=5.0,
             executed_total=100.0, rejected_total=lambda t: 100.0 * t,
         )
-        assert "threshold_pinned" in _rules(run_detectors(recorder, CONFIG))
+        assert "threshold_pinned" in _rules(run_detectors(recorder))
 
     def test_threshold_pinned_needs_flat_executions(self):
         recorder = FlightRecorder()
@@ -123,7 +123,7 @@ class TestOtherRules:
             up=1.0, active_slots=5.0, admission_threshold=5.0,
             executed_total=lambda t: 50.0 * t, rejected_total=lambda t: 100.0 * t,
         )
-        assert "threshold_pinned" not in _rules(run_detectors(recorder, CONFIG))
+        assert "threshold_pinned" not in _rules(run_detectors(recorder))
 
     def test_occupancy_imbalance_fires_on_growth(self):
         recorder = FlightRecorder()
@@ -131,7 +131,7 @@ class TestOtherRules:
             recorder, "replica-2", 0.0, 1.0,
             up=1.0, active_slots=lambda t: 1.0 + int(t * 6), executed_total=40.0,
         )
-        assert "occupancy_imbalance" in _rules(run_detectors(recorder, CONFIG))
+        assert "occupancy_imbalance" in _rules(run_detectors(recorder))
 
     def test_post_fault_non_recovery(self):
         recorder = FlightRecorder()
@@ -141,7 +141,7 @@ class TestOtherRules:
             successes=lambda t: 100.0 * min(t, 1.0),
         )
         recorder.mark(1.0, 1.5, "crash replica-1")
-        findings = run_detectors(recorder, CONFIG)
+        findings = run_detectors(recorder)
         assert _rules(findings) == ["post_fault_non_recovery"]
 
     def test_recovered_fault_is_silent(self):
@@ -150,13 +150,13 @@ class TestOtherRules:
             recorder, "clients", 0.0, 3.0, successes=lambda t: 100.0 * t,
         )
         recorder.mark(1.0, 1.5, "crash replica-1")
-        assert run_detectors(recorder, CONFIG) == []
+        assert run_detectors(recorder) == []
 
     def test_findings_are_sorted(self):
         recorder = FlightRecorder()
         for node in ("replica-2", "replica-0"):
             _record_ticks(recorder, node, 0.0, 1.0, up=1.0, dead_slots=1.0)
-        findings = run_detectors(recorder, CONFIG)
+        findings = run_detectors(recorder)
         assert [finding.node for finding in findings] == ["replica-0", "replica-2"]
 
 

@@ -1,8 +1,7 @@
 """Tests for the probe layer and the time-series flight recorder.
 
-Covers the ring buffer's eviction bounds, windowed aggregation against
-a naive reference, the percentile sketch's monotonicity and lifetime
-semantics, byte-stable exports, the observer-purity of probed runs
+Covers a series' eviction bounds, ``value_at`` against a naive linear
+reference, byte-stable exports, the observer-purity of probed runs
 (retries, hedging, chaos), the campaign payload roundtrip, and the
 hash-seed independence of the recorded series and detector output.
 """
@@ -22,10 +21,10 @@ from repro.cluster.faults import FaultSchedule
 from repro.cluster.runner import RunSpec, run_experiment
 from repro.obs import (
     FlightRecorder,
-    PercentileSketch,
     Series,
     write_series_jsonl,
 )
+from repro.obs.timeseries import DEFAULT_MAXLEN
 
 from tests.conftest import small_profile
 
@@ -37,18 +36,19 @@ def _pseudo_values(n: int) -> list[float]:
 
 class TestSeriesRing:
     def test_eviction_keeps_newest_maxlen_samples(self):
-        series = Series("replica-0", "x", maxlen=8)
-        for index in range(20):
+        series = Series("replica-0", "x")
+        total = DEFAULT_MAXLEN + 12
+        for index in range(total):
             series.record(index * 0.1, float(index))
-        assert len(series) == 8
-        assert series.count == 20
+        assert len(series) == DEFAULT_MAXLEN
+        assert series.count == total
         assert series.evicted == 12
-        assert series.values() == [float(i) for i in range(12, 20)]
-        assert series.times() == pytest.approx([i * 0.1 for i in range(12, 20)])
-        assert series.last_value == 19.0
+        assert series.values() == [float(i) for i in range(12, total)]
+        assert series.times() == pytest.approx([i * 0.1 for i in range(12, total)])
+        assert series.last_value == float(total - 1)
 
     def test_partial_fill_keeps_everything(self):
-        series = Series("replica-0", "x", maxlen=100)
+        series = Series("replica-0", "x")
         for index in range(7):
             series.record(float(index), float(index) * 2)
         assert len(series) == 7
@@ -56,7 +56,7 @@ class TestSeriesRing:
         assert series.values() == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
 
     def test_value_at_steps_and_predates(self):
-        series = Series("n", "x", maxlen=16)
+        series = Series("n", "x")
         series.record(1.0, 10.0)
         series.record(2.0, 20.0)
         assert math.isnan(series.value_at(0.5))
@@ -64,86 +64,30 @@ class TestSeriesRing:
         assert series.value_at(1.5) == 10.0
         assert series.value_at(5.0) == 20.0
 
-    def test_invalid_maxlen_rejected(self):
-        with pytest.raises(ValueError):
-            Series("n", "x", maxlen=0)
+        # An evicted series (with repeated times) against a linear walk
+        # of the retained samples.
+        def linear_value_at(time: float) -> float:
+            result = math.nan
+            for sample_time, value in series.samples():
+                if sample_time > time:
+                    break
+                result = value
+            return result
 
-
-class TestWindowAggregation:
-    def test_window_matches_naive_reference(self):
-        series = Series("n", "x", maxlen=64)
-        values = _pseudo_values(50)
+        series = Series("n", "x")
+        values = _pseudo_values(DEFAULT_MAXLEN + 100)
         for index, value in enumerate(values):
-            series.record(index * 0.05, value)
-        start, end = 0.6, 1.9
-        reference = [
-            value
-            for index, value in enumerate(values)
-            if start <= index * 0.05 <= end
-        ]
-        stats = series.window(start, end)
-        assert stats.count == len(reference)
-        assert stats.min == min(reference)
-        assert stats.max == max(reference)
-        assert stats.mean == pytest.approx(sum(reference) / len(reference))
-        assert stats.last == reference[-1]
-
-    def test_window_respects_eviction(self):
-        series = Series("n", "x", maxlen=10)
-        for index in range(30):
-            series.record(float(index), float(index))
-        # Samples 0..19 are gone; a window over them is empty.
-        assert series.window(0.0, 19.0).count == 0
-        assert series.window(20.0, 29.0).count == 10
-
-    def test_empty_window_is_nan(self):
-        series = Series("n", "x", maxlen=4)
-        series.record(1.0, 5.0)
-        stats = series.window(2.0, 3.0)
-        assert stats.count == 0
-        assert math.isnan(stats.min) and math.isnan(stats.mean)
-
-
-class TestPercentileSketch:
-    def test_quantiles_monotone_in_q(self):
-        sketch = PercentileSketch()
-        for value in _pseudo_values(500):
-            sketch.add(value * 13.7)
-        quantiles = [sketch.quantile(q / 100.0) for q in range(101)]
-        assert all(a <= b for a, b in zip(quantiles, quantiles[1:]))
-        assert quantiles[0] >= sketch.min
-        assert quantiles[-1] == sketch.max
-
-    def test_single_value_is_exact(self):
-        sketch = PercentileSketch()
-        for _ in range(10):
-            sketch.add(42.0)
-        for q in (0.0, 0.5, 0.99, 1.0):
-            assert sketch.quantile(q) == pytest.approx(42.0)
-
-    def test_empty_and_invalid(self):
-        sketch = PercentileSketch()
-        assert math.isnan(sketch.quantile(0.5))
-        with pytest.raises(ValueError):
-            sketch.quantile(1.5)
-        with pytest.raises(ValueError):
-            PercentileSketch(cap=0.0)
-
-    def test_lifetime_survives_ring_eviction(self):
-        series = Series("n", "x", maxlen=4)
-        for index in range(100):
-            series.record(float(index), float(index))
-        assert len(series) == 4  # ring kept almost nothing...
-        assert series.sketch.total == 100  # ...the sketch kept it all
-        median = series.quantile(0.5)
-        assert 40.0 <= median <= 60.0
-
-    def test_clamp_keeps_extremes_visible(self):
-        sketch = PercentileSketch(cap=100.0)
-        sketch.add(-5.0)
-        sketch.add(1e6)
-        assert sketch.min == -5.0
-        assert sketch.max == 1e6
+            series.record((index // 2) * 0.01, value)
+        assert series.evicted == 100
+        retained = series.times()
+        probes = [retained[0] - 0.005, retained[0] - 1.0]
+        for time in retained:
+            probes.extend((time, time + 0.005))
+        for time in probes:
+            expected = linear_value_at(time)
+            actual = series.value_at(time)
+            assert actual == expected or (math.isnan(actual) and math.isnan(expected))
+        assert math.isnan(series.value_at(retained[0] - 0.005))
 
 
 class TestRecorderExports:
@@ -241,13 +185,18 @@ class TestProbePurity:
         assert 0.0 in up.values()
 
     def test_probing_rides_the_observer_tick(self):
-        """Probes schedule no loop events beyond observer sampling."""
+        """Tracing and probing share one sample tick; a probes-only hub
+        attaches no per-node observers."""
         observed = run_experiment(self._spec(False, observe=True))
         probed = run_experiment(self._spec(True))
         assert (
             observed.sim_stats["dispatched_events"]
             == probed.sim_stats["dispatched_events"]
         )
+        assert probed.obs.tracer is None
+        cluster = probed.obs.cluster
+        assert all(node.obs is None for node in cluster.replicas + cluster.clients)
+        assert all(node.obs is not None for node in observed.obs.cluster.replicas)
 
 
 class TestCampaignPayloadRoundtrip:
@@ -261,12 +210,10 @@ class TestCampaignPayloadRoundtrip:
             warmup=0.4,
             seed=7,
             probes=True,
-            obs_sample_interval=0.02,
         )
         payload = json.loads(json.dumps(spec_to_payload(spec), sort_keys=True))
         rebuilt = payload_to_spec(payload)
         assert rebuilt.probes is True
-        assert rebuilt.obs_sample_interval == 0.02
         assert rebuilt.system == "idem"
         assert rebuilt.clients == 12
         assert rebuilt.seed == 7

@@ -1,4 +1,4 @@
-"""Tests for repro.obs: metrics registry, lifecycle tracing, exporters.
+"""Tests for repro.obs: lifecycle tracing, the report, exporters.
 
 The load-bearing property is the observer-only contract: a seeded run
 with tracing attached must return byte-identical results to the same
@@ -14,13 +14,13 @@ import pytest
 from repro.cluster.faults import FaultSchedule
 from repro.cluster.runner import RunSpec, run_experiment
 from repro.obs import (
-    MetricsRegistry,
     ObservabilityHub,
     RequestTracer,
     build_breakdowns,
     chrome_trace_events,
     reject_reason_histogram,
     render_report,
+    replica_internals,
     top_slowest,
     write_chrome_trace,
     write_jsonl,
@@ -58,70 +58,6 @@ def observed_run(**kwargs):
 def traced_result():
     """One observed run shared by all read-only assertions below."""
     return observed_run()
-
-
-# -- metrics registry ------------------------------------------------------
-
-
-class TestMetricsRegistry:
-    def test_counter_accumulates(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("requests", replica=0)
-        counter.inc()
-        counter.inc(2)
-        assert counter.value == 3
-
-    def test_labels_distinguish_instruments(self):
-        registry = MetricsRegistry()
-        a = registry.counter("requests", replica=0)
-        b = registry.counter("requests", replica=1)
-        a.inc()
-        assert a.value == 1
-        assert b.value == 0
-        assert registry.counter("requests", replica=0) is a
-
-    def test_kind_mismatch_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x")
-
-    def test_gauge_tracks_extremes(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("depth")
-        for value in (3.0, 1.0, 5.0):
-            gauge.set(value)
-        assert gauge.value == 5.0
-        assert gauge.minimum == 1.0
-        assert gauge.maximum == 5.0
-        assert gauge.updates == 3
-
-    def test_histogram_percentiles_ordered(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("latency")
-        for value in range(100):
-            histogram.observe(float(value))
-        assert histogram.count == 100
-        assert histogram.percentile(0.5) <= histogram.percentile(0.99)
-        assert histogram.percentile(0.99) <= histogram.maximum
-
-    def test_histogram_percentile_never_undershoots_the_minimum(self):
-        # 0.5 * 5e-324 rounds to 0.0, so a lo*(1-f) + hi*f interpolation
-        # would report a median below the minimum.
-        histogram = MetricsRegistry().histogram("latency")
-        histogram.observe(5e-324)
-        histogram.observe(5e-324)
-        assert histogram.percentile(0.5) == 5e-324
-        snapshot = histogram.snapshot()
-        assert snapshot["p50"] >= snapshot["min"]
-
-    def test_snapshot_is_sorted_and_complete(self):
-        registry = MetricsRegistry()
-        registry.counter("b").inc()
-        registry.counter("a").inc()
-        names = [entry["name"] for entry in registry.snapshot()]
-        assert names == sorted(names)
-        assert all(entry["kind"] == "counter" for entry in registry.snapshot())
 
 
 # -- the observer-only contract --------------------------------------------
@@ -179,7 +115,6 @@ class TestLifecycle:
             spans.EXECUTE,
             spans.REPLY_SENT,
             spans.CLIENT_OUTCOME,
-            spans.SAMPLE,
         ):
             assert counts.get(kind, 0) > 0, kind
 
@@ -192,17 +127,22 @@ class TestLifecycle:
             total = sum(duration for _label, duration in breakdown.stages())
             assert total == pytest.approx(breakdown.latency, rel=1e-6)
 
-    def test_registry_captures_replica_internals(self, traced_result):
-        registry = traced_result.obs.registry
-        names = {entry["name"] for entry in registry.snapshot()}
-        for expected in (
-            "busy_fraction",
-            "queue_depth",
-            "queue_depth_at_arrival",
-            "active_at_decision",
-            "handling_cost",
-        ):
-            assert expected in names, expected
+    def test_report_computes_replica_internals(self, traced_result):
+        obs = traced_result.obs
+        internals = replica_internals(obs.tracer, obs.recorder)
+        for index, stats in enumerate(traced_result.replica_stats):
+            node = f"replica-{index}"
+            # One decision row per admission decision the replica counted.
+            assert len(internals[("active_at_decision", node)]) == (
+                stats["accepted"] + stats["rejected"]
+            )
+            assert internals[("queue_depth_at_arrival", node)]
+            assert internals[("busy_fraction", node)] == (
+                obs.recorder.series(node, "busy_frac").values()
+            )
+        report = render_report(obs.tracer, obs.recorder)
+        for metric in ("active_at_decision", "busy_fraction", "queue_depth_at_arrival"):
+            assert f"  {metric}{{node=replica-0}} count=" in report
 
     def test_reject_reasons_recorded(self):
         result = observed_run(
@@ -217,14 +157,17 @@ class TestLifecycle:
         result = observed_run(system="idem-multileader", seed=1)
         obs = result.obs
         assert obs.tracer.by_kind().get(spans.PROPOSE, 0) > 0
+        proposals = {}
+        for event in obs.tracer.events:
+            if event.kind == spans.PROPOSE:
+                proposals[event.node] = proposals.get(event.node, 0) + 1
         for index, stats in enumerate(result.replica_stats):
             assert stats["proposals"] > 0
-            counter = obs.registry.counter("proposals", node=f"replica-{index}")
-            assert counter.value == stats["proposals"]
+            assert proposals[f"replica-{index}"] == stats["proposals"]
 
     def test_render_report_mentions_stages_and_reasons(self, traced_result):
         report = render_report(
-            traced_result.obs.tracer, traced_result.obs.registry, k=3
+            traced_result.obs.tracer, traced_result.obs.recorder, k=3
         )
         assert "slowest" in report
         assert "agreement (propose -> quorum)" in report
@@ -248,7 +191,7 @@ class TestExporters:
     def test_chrome_trace_is_valid(self, traced_result):
         stream = io.StringIO()
         write_chrome_trace(
-            traced_result.obs.tracer, stream, traced_result.obs.registry
+            stream, traced_result.obs.tracer, traced_result.obs.recorder
         )
         document = json.loads(stream.getvalue())
         assert document["displayTimeUnit"] == "ms"

@@ -15,6 +15,7 @@ PACKAGES = [
     "repro.cluster",
     "repro.protocols",
     "repro.experiments",
+    "repro.obs",
 ]
 
 
@@ -39,7 +40,13 @@ def test_second_core_and_sharding_are_not_exported():
         "repro.net": "MessageTracer TraceFilter TraceRecord",
         "repro.analysis": "LintCache ProjectIndex build_index lint_project "
         "Baseline BaselineEntry",
-        "repro.obs": "resilience_summary",
+        # One record per measurement: the trace and the flight recorder.
+        "repro.obs": "resilience_summary Counter Gauge Histogram MetricsRegistry "
+        "PercentileSketch WindowStats DetectorConfig DetectorRule RULES Probeable "
+        "write_series_chrome_trace",
+        "repro.obs.timeseries": "PercentileSketch WindowStats SKETCH_CAP "
+        "SKETCH_BINS_PER_DECADE write_series_chrome_trace",
+        "repro.obs.spans": "SAMPLE",
         "repro.experiments": "run_experiment_by_id",
         "repro.experiments.registry": "run_experiment_by_id",
         # One grid per figure: plan + assemble, no executor to keep a
@@ -56,6 +63,7 @@ def test_second_core_and_sharding_are_not_exported():
 
     assert not hasattr(ExecutionStats(), "inline_misses")
     assert importlib.util.find_spec("repro.perf") is None
+    assert importlib.util.find_spec("repro.obs.registry") is None
     # One command surface: no environment-backed settings module.
     assert importlib.util.find_spec("repro.experiments.settings") is None
     # detlint is one per-file pass with pragmas: no project index, call

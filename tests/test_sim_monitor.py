@@ -51,6 +51,13 @@ class TestSummaryStats:
         assert stats.p99 < 2.0
         assert stats.p999 > 90.0
 
+    def test_percentile_never_undershoots_the_minimum(self):
+        # 0.5 * 5e-324 rounds to 0.0, so a lo*(1-f) + hi*f interpolation
+        # would report a median below the minimum.
+        stats = SummaryStats.of([5e-324, 5e-324])
+        assert stats.p50 == 5e-324
+        assert stats.p50 >= stats.minimum
+
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=200))
     def test_percentiles_are_ordered_and_bounded(self, samples):
         stats = SummaryStats.of(samples)

@@ -27,6 +27,7 @@ import sys
 
 from repro.cluster.faults import FaultSchedule
 from repro.cluster.runner import RunSpec, run_experiment
+from repro.obs import SAMPLE_INTERVAL
 from repro.population import PopulationSpec
 
 # Gauges only the aggregate population node publishes.
@@ -111,7 +112,7 @@ def probe_budget(spec: RunSpec, recorder) -> int:
     passes fire on the sampling cadence, so ticks x series (plus one
     pass of slack for boundary rounding) bounds the total.
     """
-    ticks = int(spec.duration / spec.obs_sample_interval) + 1
+    ticks = int(spec.duration / SAMPLE_INTERVAL) + 1
     return ticks * max(1, len(recorder))
 
 
