@@ -1,6 +1,6 @@
 """``repro.campaign`` — parallel experiment campaigns with a
-content-addressed result cache, the paper-claims gate and a baseline
-regression gate.
+content-addressed result cache, the paper-claims gate and an exact
+regression gate on every headline and job result.
 
 Quickstart::
 
@@ -13,17 +13,16 @@ Quickstart::
 Or from the command line::
 
     repro-experiments campaign --jobs 4                # all figures/tables
-    repro-experiments campaign --check                 # gate claims + baselines
-    repro-experiments campaign --update-baselines      # refresh BENCH_*.json
+    repro-experiments campaign --check                 # gate claims + BENCH_*.json
+    repro-experiments campaign --update-baselines      # re-bless BENCH_*.json
 
 See ``docs/CAMPAIGNS.md`` for the planner/cache/baseline model.
 """
 
 from repro.campaign.baseline import (
-    BaselineEntry,
     BaselineReport,
     check_baselines,
-    load_baseline,
+    job_fingerprints,
     write_baseline,
 )
 from repro.campaign.cache import MISS, ResultCache, result_fingerprint, should_verify
@@ -61,7 +60,6 @@ from repro.campaign.report import (
 )
 
 __all__ = [
-    "BaselineEntry",
     "BaselineReport",
     "CACHE_SCHEMA",
     "CacheVerificationError",
@@ -79,9 +77,9 @@ __all__ = [
     "collect_garbage",
     "execute_jobs",
     "execute_payload",
+    "job_fingerprints",
     "job_key",
     "job_profile",
-    "load_baseline",
     "payload_to_spec",
     "plan_experiment",
     "plan_jobs",

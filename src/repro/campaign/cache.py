@@ -24,30 +24,44 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-import re
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
 import repro
 from repro.campaign.plan import CACHE_SCHEMA, Job, canonical_json
-from repro.experiments.io import to_jsonable
 
 DEFAULT_CACHE_DIR = Path("benchmarks") / "results" / "cache"
-
-# ``to_jsonable`` falls back to repr() for non-dataclass attachments
-# (e.g. a kept MetricsCollector); mask the memory addresses so the
-# fingerprint only reflects values, never object identity.
-_ADDRESS = re.compile(r" object at 0x[0-9a-fA-F]+")
 
 #: Sentinel returned by :meth:`ResultCache.load` when a key is absent.
 MISS = object()
 
 
 def result_fingerprint(result: Any) -> str:
-    """Canonical digest of a job result's observable values."""
-    text = _ADDRESS.sub(" object", canonical_json(to_jsonable(result)))
+    """Canonical digest of a job result's observable values.
+
+    Every attribute counts, down to the samples, buckets and gaps of a
+    kept :class:`~repro.cluster.metrics.MetricsCollector`; an object
+    without a ``__dict__`` raises rather than hash to its identity.
+    """
+    text = canonical_json(_state(result))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _state(value: Any) -> Any:
+    """``value`` as canonical JSON data; a float list (a sample list)
+    becomes the digest of its packed little-endian doubles."""
+    if isinstance(value, (str, int, float)) or value is None:
+        return value
+    if isinstance(value, list) and value and type(value[0]) is float:
+        packed = struct.pack(f"<{len(value)}d", *value)
+        return "f64:" + hashlib.sha256(packed).hexdigest()
+    if isinstance(value, dict):
+        return {str(key): _state(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_state(item) for item in value]
+    return {type(value).__name__: _state(vars(value))}
 
 
 def should_verify(key: str, fraction: float) -> bool:

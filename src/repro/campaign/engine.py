@@ -14,11 +14,12 @@ A campaign run has four phases:
    whatever the worker count, scheduling order or cache state.
 4. **Gate** — ask each experiment module for its verdict on the data
    just assembled (no further simulation): ``claims(data)``, the
-   paper's qualitative claims, and ``headlines(data)``, compared with
-   the committed ``BENCH_*.json`` baselines
-   (:mod:`repro.campaign.baseline`).  Under ``--check`` a claim that
-   does not hold fails the campaign like a drifted headline does, and
-   ``--update-baselines`` refuses to bless anything while one fails.
+   paper's qualitative claims, and a record of ``headlines(data)`` plus
+   the fingerprint of every job, compared for equality with the
+   committed ``BENCH_*.json`` (:mod:`repro.campaign.baseline`).  Under
+   ``--check`` a claim that does not hold fails the campaign like a
+   changed headline or fingerprint does, and ``--update-baselines``
+   refuses to bless anything while one fails.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class CampaignOptions:
         return self.jobs or os.cpu_count() or 1
 
     def settings(self) -> dict[str, Any]:
-        """The settings fingerprint recorded in baselines and reports."""
+        """The settings recorded in baselines and reports."""
         return {
             "quick": self.quick,
             "runs": self.runs,
@@ -96,6 +97,7 @@ class CampaignResult:
     stats: ExecutionStats
     baseline_report: Optional[baseline_mod.BaselineReport] = None
     baseline_paths: list[Path] = field(default_factory=list)
+    baseline_changes: list[str] = field(default_factory=list)
 
     @property
     def headlines(self) -> dict[str, dict[str, float]]:
@@ -196,18 +198,27 @@ def run_campaign(options: CampaignOptions) -> CampaignResult:
     stats.aggregate_seconds = time.perf_counter() - aggregate_started
 
     result = CampaignResult(options=options, outcomes=outcomes, stats=stats)
+    if not (options.check or options.update_baselines):
+        return result
+    records = {
+        experiment_id: {
+            "settings": options.settings(),
+            "headlines": outcome.headlines,
+            "jobs": baseline_mod.job_fingerprints(
+                plans[experiment_id], grids[experiment_id], results
+            ),
+        }
+        for experiment_id, outcome in zip(ids, outcomes)
+    }
     if options.update_baselines and not result.failed_claims:
-        for outcome in outcomes:
-            result.baseline_paths.append(
-                baseline_mod.write_baseline(
-                    options.baseline_dir,
-                    outcome.experiment_id,
-                    outcome.headlines,
-                    options.settings(),
-                )
+        for experiment_id, record in records.items():
+            path, changes = baseline_mod.write_baseline(
+                options.baseline_dir, experiment_id, record
             )
+            result.baseline_paths.append(path)
+            result.baseline_changes.extend(changes)
     if options.check:
         result.baseline_report = baseline_mod.check_baselines(
-            options.baseline_dir, result.headlines, options.settings()
+            options.baseline_dir, records
         )
     return result

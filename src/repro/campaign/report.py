@@ -63,7 +63,9 @@ def render_summary(result: CampaignResult) -> str:
         lines.append(
             "  baselines   : wrote "
             + ", ".join(path.name for path in result.baseline_paths)
+            + f"; {len(result.baseline_changes)} change(s)"
         )
+        lines.extend(f"    {change}" for change in result.baseline_changes)
     elif result.options.update_baselines:
         lines.append(
             f"  baselines   : NOT written — {len(result.failed_claims)} paper "

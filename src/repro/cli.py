@@ -5,7 +5,7 @@ Usage::
     repro-experiments list                               # experiment ids
     repro-experiments campaign --experiments fig6        # one experiment, full settings
     repro-experiments campaign --quick --jobs 4          # everything, scaled-down
-    repro-experiments campaign --check                   # gate paper claims + BENCH_* baselines
+    repro-experiments campaign --check                   # gate paper claims + exact BENCH_* records
     repro-experiments gc --cache-dir DIR                 # prune the campaign result cache
     repro-experiments chaos --seed 3 --duration 8        # seeded fault injection + safety check
     repro-experiments trace --protocol paxos             # traced run, slowest-request breakdown
@@ -97,14 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--check",
         action="store_true",
-        help="gate the paper's claims and the BENCH_* headline baselines; "
-        "exit 1 on a failing claim or a regression",
+        help="gate the paper's claims and compare every headline and job "
+        "fingerprint exactly with the BENCH_* files; exit 1 on a failing claim "
+        "or any difference, each named",
     )
     campaign.add_argument(
         "--update-baselines",
         action="store_true",
-        help="refresh the BENCH_* baseline files from this campaign's results "
-        "(refused, exit 1, while any paper claim fails)",
+        help="re-bless the BENCH_* files with this campaign's headlines and job "
+        "fingerprints, printing what changed (refused, exit 1, while any paper "
+        "claim fails)",
     )
     campaign.add_argument(
         "--baseline-dir", help="directory holding the BENCH_*.json baselines"

@@ -8,13 +8,17 @@ The acceptance properties from the campaign design:
 * every experiment's ``assemble`` builds its data from the results of
   its own plan and simulates nothing;
 * a job that raises names itself, serial or pooled;
-* the baseline gate passes on freshly written baselines and fails
-  (non-zero exit) once a metric is perturbed beyond its tolerance band;
+* the baseline gate passes on freshly written records and fails
+  (non-zero exit) on any change to a headline or a job fingerprint,
+  naming it;
 * a paper claim that does not hold fails ``--check`` and blocks
   ``--update-baselines``, and is harmless without either.
 """
 
 import json
+import math
+import pathlib
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -222,12 +226,29 @@ class TestCache:
         assert not cache.contains(job.key)
 
     def test_fingerprint_masks_object_identity(self, tiny_result):
-        # keep_metrics embeds repr()s with memory addresses; two loads of
-        # the same result must fingerprint identically regardless.
-        import pickle
-
+        # keep_metrics attaches a live MetricsCollector; two loads of the
+        # same result must fingerprint identically regardless.
         clone = pickle.loads(pickle.dumps(tiny_result))
         assert result_fingerprint(clone) == result_fingerprint(tiny_result)
+
+    def test_fingerprint_covers_the_kept_collector(self, tiny_result):
+        """A stale cache hit that differs only inside the kept collector
+        (fig3/fig10/figR read it) must not pass --verify."""
+        reference = result_fingerprint(tiny_result)
+        samples = tiny_result.metrics.reply_latency.samples
+        assert samples
+
+        def nudge_sample(metrics):
+            metrics.reply_latency.samples[-1] = math.nextafter(samples[-1], 1.0)
+
+        for mutate in (
+            nudge_sample,
+            lambda metrics: metrics.reject_gaps.record(1e9),
+            lambda metrics: metrics.reply_counter.record(0.0),
+        ):
+            clone = pickle.loads(pickle.dumps(tiny_result))
+            mutate(clone.metrics)
+            assert result_fingerprint(clone) != reference
 
     def test_leftover_shard_entry_never_serves_a_sim_job(
         self, tmp_path, tiny_result, capsys
@@ -372,13 +393,17 @@ class TestCampaignEndToEnd:
         raw = json.loads((raw_dir / "fig7.json").read_text())
         assert {point["system"] for point in raw["points"]} == {"idem"}
 
+        assert "headlines: 3/3 match" in err and "jobs: 2/2 match" in err
+
         path = baseline_path(baseline_dir, "fig7")
         document = json.loads(path.read_text())
-        document["metrics"]["max_load.throughput"] *= 1.5
+        label = "fig7/idem/c400/s0 [idem]"
+        document["jobs"][label] = "0" * 64
         path.write_text(json.dumps(document))
         assert main(argv + ["--check"]) == 1
         err = capsys.readouterr().err
-        assert "regressed" in err and "=> FAIL" in err
+        assert f"fig7 job {label}: " in err and "=> FAIL" in err
+        assert "jobs: 1/2 match" in err
 
     def test_failing_claim_gates_check_and_update(
         self, shared_cache_dir, tmp_path, monkeypatch, capsys
@@ -388,6 +413,16 @@ class TestCampaignEndToEnd:
         --update-baselines refuses to write anything."""
         from repro.cli import main
         from repro.experiments import fig7_reject_behavior as fig7
+
+        # A healthy record, blessed while the claims still hold.
+        healthy_dir = tmp_path / "healthy"
+        healthy = run_campaign(
+            CampaignOptions(
+                experiments=["fig7"], jobs=1, cache_dir=shared_cache_dir,
+                baseline_dir=healthy_dir, update_baselines=True, **self.SETTINGS,
+            )
+        )
+        assert healthy.exit_code == 0 and len(healthy.baseline_paths) == 1
 
         sentence = "§7.3: reply latency stays on the plateau"
         broken = common.Claim("fig7.reply-latency-plateau", sentence, "9.99 ms", False)
@@ -405,14 +440,11 @@ class TestCampaignEndToEnd:
         assert not baseline_dir.exists()
         assert "baselines   : NOT written" in render_summary(blessed)
 
-        # With healthy headline baselines the claim alone fails --check.
-        write_baseline(
-            baseline_dir, "fig7", plain.headlines["fig7"], plain.options.settings()
-        )
+        # With a healthy record the claim alone fails --check.
         argv = [
             "campaign", "--experiments", "fig7", "--quick", "--runs", "1",
             "--duration", "0.25", "--jobs", "1", "--report", str(tmp_path / "r.json"),
-            "--cache-dir", str(shared_cache_dir), "--baseline-dir", str(baseline_dir),
+            "--cache-dir", str(shared_cache_dir), "--baseline-dir", str(healthy_dir),
         ]
         assert main(argv + ["--check"]) == 1
         err = capsys.readouterr().err
@@ -496,49 +528,108 @@ class TestCampaignEndToEnd:
         assert len(planned) == len(EXPERIMENTS["fig2"].FULL_CLIENTS)
 
 
+COMMITTED = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
+
+
+def committed_record(experiment_id: str) -> dict:
+    """A committed BENCH file as the record a campaign would produce."""
+    document = json.loads(baseline_path(COMMITTED, experiment_id).read_text())
+    del document["experiment"]
+    return document
+
+
 class TestBaselines:
     SETTINGS = dict(quick=True, runs=1, duration=0.5, seed0=0)
 
-    def test_write_then_check_passes(self, tmp_path):
-        write_baseline(tmp_path, "fig2", {"m": 100.0}, self.SETTINGS)
-        report = check_baselines(tmp_path, {"fig2": {"m": 110.0}}, self.SETTINGS)
+    def record(self, headlines=None, jobs=None, settings=None) -> dict:
+        return {
+            "settings": dict(settings or self.SETTINGS),
+            "headlines": {"a": 1.0, "b": 2.0} if headlines is None else headlines,
+            "jobs": {"fig2/idem/c10/s0 [idem]": "0" * 64} if jobs is None else jobs,
+        }
+
+    def check(self, tmp_path, current: dict):
+        write_baseline(tmp_path, "fig2", self.record())
+        return check_baselines(tmp_path, {"fig2": current})
+
+    def test_identical_record_passes(self, tmp_path):
+        report = self.check(tmp_path, self.record())
         assert report.ok
-        assert "=> PASS" in report.render()
+        text = report.render()
+        assert "headlines: 2/2 match" in text and "jobs: 1/1 match" in text
+        assert "=> PASS" in text
 
     def test_drift_beyond_tolerance_fails(self, tmp_path):
-        write_baseline(tmp_path, "fig2", {"m": 100.0}, self.SETTINGS)
-        report = check_baselines(tmp_path, {"fig2": {"m": 130.0}}, self.SETTINGS)
+        report = self.check(tmp_path, self.record({"a": 1.3, "b": 2.0}))
         assert not report.ok
-        assert report.regressions[0].status == "regressed"
+        assert report.problems == ["fig2 headline a: 1.0 -> 1.3"]
+        assert "headlines: 1/2 match" in report.render()
+
+    def test_one_ulp_change_to_any_committed_headline_fails(self):
+        compared = 0
+        for experiment_id in EXPERIMENTS:
+            record = committed_record(experiment_id)
+            assert check_baselines(COMMITTED, {experiment_id: record}).ok
+            for name, value in record["headlines"].items():
+                bumped = json.loads(json.dumps(record))
+                bumped["headlines"][name] = math.nextafter(value, math.inf)
+                report = check_baselines(COMMITTED, {experiment_id: bumped})
+                [problem] = report.problems
+                assert problem.startswith(f"{experiment_id} headline {name}: ")
+                compared += 1
+        assert compared >= 100
+
+    def test_fig7_reject_latency_up_14_percent_fails(self):
+        """A uniform +14 % shift of fig7's reject latency is a real
+        change; the gate names the headline with both values."""
+        record = committed_record("fig7")
+        name = "max_load.reject_latency_ms"
+        old = record["headlines"][name]
+        record["headlines"][name] = old * 1.14
+        report = check_baselines(COMMITTED, {"fig7": record})
+        assert report.problems == [
+            f"fig7 headline {name}: {old!r} -> {old * 1.14!r}"
+        ]
+
+    def test_new_headline_fails(self, tmp_path):
+        report = self.check(tmp_path, self.record({"a": 1.0, "b": 2.0, "c": 3.0}))
+        assert report.problems == ["fig2 headline c: 'missing' -> 3.0"]
+
+    def test_missing_headline_or_job_fails(self, tmp_path):
+        report = self.check(tmp_path, self.record({"a": 1.0}, jobs={}))
+        assert report.problems == [
+            "fig2 headline b: 2.0 -> 'missing'",
+            f"fig2 job fig2/idem/c10/s0 [idem]: {'0' * 64!r} -> 'missing'",
+        ]
+
+    def test_changed_fingerprint_is_reported_by_its_job_label(self, tmp_path):
+        record = self.record(jobs={"fig2/idem/c10/s0 [idem]": "1" * 64})
+        report = self.check(tmp_path, record)
+        [problem] = report.problems
+        assert problem.startswith("fig2 job fig2/idem/c10/s0 [idem]: ")
+        assert "jobs: 0/1 match" in report.render()
 
     def test_settings_mismatch_fails(self, tmp_path):
-        write_baseline(tmp_path, "fig2", {"m": 100.0}, self.SETTINGS)
-        other = dict(self.SETTINGS, runs=3)
-        report = check_baselines(tmp_path, {"fig2": {"m": 100.0}}, other)
+        report = self.check(tmp_path, self.record(settings=dict(self.SETTINGS, runs=3)))
         assert not report.ok
-        assert report.entries[0].status == "settings-mismatch"
+        [problem] = report.problems
+        assert problem.startswith("fig2: BENCH_fig2.json recorded settings ")
+        assert "headlines: 0/2 match" in report.render()
 
     def test_missing_baseline_fails(self, tmp_path):
-        report = check_baselines(tmp_path, {"fig2": {"m": 1.0}}, self.SETTINGS)
-        assert not report.ok
-        assert report.entries[0].status == "missing-baseline"
+        report = check_baselines(tmp_path, {"fig2": self.record()})
+        assert report.problems == ["fig2: no BENCH_fig2.json"]
+        assert "jobs: 0/1 match" in report.render()
 
-    def test_new_metric_passes_missing_metric_fails(self, tmp_path):
-        write_baseline(tmp_path, "fig2", {"a": 1.0, "b": 2.0}, self.SETTINGS)
-        report = check_baselines(
-            tmp_path, {"fig2": {"a": 1.0, "c": 3.0}}, self.SETTINGS
-        )
-        statuses = {entry.metric: entry.status for entry in report.entries}
-        assert statuses == {"a": "ok", "b": "missing-metric", "c": "new-metric"}
-        assert not report.ok
-
-    def test_per_metric_tolerance_override(self, tmp_path):
-        path = write_baseline(tmp_path, "fig2", {"m": 100.0}, self.SETTINGS)
-        document = json.loads(path.read_text())
-        document["tolerances"] = {"m": {"relative": 0.5}}
-        path.write_text(json.dumps(document))
-        report = check_baselines(tmp_path, {"fig2": {"m": 140.0}}, self.SETTINGS)
-        assert report.ok
+    def test_update_names_what_it_changed(self, tmp_path):
+        path, changes = write_baseline(tmp_path, "fig2", self.record())
+        assert changes == ["fig2: no BENCH_fig2.json"]
+        _, changes = write_baseline(tmp_path, "fig2", self.record({"a": 1.5, "b": 2.0}))
+        assert changes == ["fig2 headline a: 1.0 -> 1.5"]
+        assert write_baseline(tmp_path, "fig2", self.record({"a": 1.5, "b": 2.0}))[1] == []
+        assert set(json.loads(path.read_text())) == {
+            "experiment", "settings", "headlines", "jobs"
+        }
 
     def test_module_headlines_fig2(self):
         from repro.experiments.fig2_existing_protocols import Fig2Data, headlines

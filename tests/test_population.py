@@ -490,7 +490,8 @@ class TestFigM:
 
     def test_committed_baseline_matches_the_plan(self):
         """BENCH_figM.json must cover every (system, N) arm with the
-        four gated headline metrics, under the CI gate's settings."""
+        four gated headline metrics and the arm's job fingerprint, under
+        the CI gate's settings."""
         from repro.experiments import figM_million_users as figM
 
         path = (
@@ -502,13 +503,16 @@ class TestFigM:
         document = json.loads(path.read_text())
         assert document["settings"]["quick"] is True
         assert document["settings"]["runs"] == 1
-        metrics = document["metrics"]
+        metrics = document["headlines"]
         for system in figM.SYSTEMS:
             for n_clients in figM.N_SWEEP:
                 for metric in (
                     "goodput", "p99_ms", "reject_rate", "events_per_request"
                 ):
                     assert f"{system}.n{n_clients}.{metric}" in metrics
+                job = f"figM/{system}/c{n_clients}/s0 [{system}]"
+                assert len(document["jobs"][job]) == 64
+        assert len(document["jobs"]) == len(figM.SYSTEMS) * len(figM.N_SWEEP)
         # The cost claim the figure is named for: a million-user arm
         # costs no more simulator events per request than the 10k arm.
         for system in figM.SYSTEMS:

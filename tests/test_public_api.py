@@ -34,9 +34,15 @@ def test_second_core_and_sharding_are_not_exported():
         "set_default_core get_default_core TimeSeries",
         "repro.campaign": "render_shards run_sharded shard_campaign_jobs "
         "merge_shard_groups SHARD_SEED_STRIDE CachingExecutor extract_headlines "
-        "HEADLINE_EXTRACTORS CampaignExecutor plan_campaign",
+        "HEADLINE_EXTRACTORS CampaignExecutor plan_campaign "
+        "DEFAULT_RELATIVE_TOLERANCE DEFAULT_ABSOLUTE_TOLERANCE BaselineEntry "
+        "load_baseline",
         "repro.campaign.engine": "CampaignExecutor",
-        "repro.campaign.baseline": "extract_headlines HEADLINE_EXTRACTORS",
+        # Exact gate: no tolerance band, no per-metric status zoo.
+        "repro.campaign.baseline": "extract_headlines HEADLINE_EXTRACTORS "
+        "DEFAULT_RELATIVE_TOLERANCE DEFAULT_ABSOLUTE_TOLERANCE _within "
+        "BaselineEntry load_baseline check_experiment SETTINGS_FIELDS",
+        "repro.campaign.cache": "_ADDRESS",
         "repro.net": "MessageTracer TraceFilter TraceRecord",
         "repro.analysis": "LintCache ProjectIndex build_index lint_project "
         "Baseline BaselineEntry",
