@@ -151,7 +151,6 @@ class ResultCache:
             "key": key,
             "schema": CACHE_SCHEMA,
             "version": repro.__version__,
-            "fingerprint": result_fingerprint(result),
         }
         if job is not None:
             meta["kind"] = job.kind

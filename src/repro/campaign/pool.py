@@ -13,18 +13,22 @@ output is byte-identical regardless of scheduling order or worker count.
 If the platform cannot provide a process pool (sandboxes without
 semaphores, 1-CPU containers where it is pointless), execution falls
 back to in-process serial with a note on ``echo`` — results are
-identical either way.  A job that raises is not a pool failure: it
-surfaces as :class:`JobFailed`, naming the job.
+identical either way.  Each result is cached as soon as its job
+finishes, so a pool that breaks part-way (a worker killed) costs only
+the jobs that had no result yet: those alone re-run serially.  A job
+that raises is not a pool failure: it surfaces as :class:`JobFailed`,
+naming the job.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.campaign.cache import MISS, ResultCache, result_fingerprint, should_verify
 from repro.campaign.plan import KIND_CELL, KIND_SIM, Job, payload_to_spec
@@ -47,7 +51,23 @@ class JobFailed(RuntimeError):
 
 
 def execute_payload(kind: str, payload: dict[str, Any]) -> Any:
-    """Run one job payload to completion (also the worker entry point)."""
+    """Run one job payload to completion (also the worker entry point).
+
+    Every path that runs a job ends here — pool worker, serial run and
+    ``--verify`` — so this is where a job's simulation is freed.
+    """
+    result = _run_payload(kind, payload)
+    # A finished cluster is cyclic by design (network <-> nodes, the
+    # loop's heap of bound methods, Timer <-> Event): ~100k objects that
+    # reference counting never frees.  The generational collector only
+    # runs a full pass once long-lived objects grow by 25 %, so a worker
+    # would carry two or three dead clusters into its later jobs.  One
+    # full collection per job keeps one simulation resident per process.
+    gc.collect()
+    return result
+
+
+def _run_payload(kind: str, payload: dict[str, Any]) -> Any:
     if kind == KIND_SIM:
         from repro.cluster.runner import run_experiment
 
@@ -65,11 +85,10 @@ def execute_payload(kind: str, payload: dict[str, Any]) -> Any:
     raise ValueError(f"unknown job kind {kind!r}")
 
 
-def _pool_worker(item: tuple[str, str, dict[str, Any]]) -> tuple[str, Any, float]:
-    key, kind, payload = item
+def _pool_worker(kind: str, payload: dict[str, Any]) -> tuple[Any, float]:
     started = time.perf_counter()
     result = execute_payload(kind, payload)
-    return key, result, time.perf_counter() - started
+    return result, time.perf_counter() - started
 
 
 def job_profile(
@@ -118,7 +137,7 @@ class ExecutionStats:
     verified: int = 0  # cache hits re-run by the spot checker
     verify_failures: int = 0
     workers: int = 1  # pool width actually used (1 = serial)
-    pool_fallback: bool = False  # pool unavailable, ran serial instead
+    pool_fallback: bool = False  # pool unavailable or broke; the rest ran serially
     cache_entries: int = 0  # results on disk after the run
     cache_bytes: int = 0  # on-disk footprint (results + sidecars)
     plan_seconds: float = 0.0
@@ -185,62 +204,64 @@ def execute_jobs(
             f"campaign: executing {len(pending)} job(s) "
             f"({stats.cache_hits} cached) on {stats.workers} worker(s)"
         )
-        executed = _execute_pending(pending, stats, echo)
-        for job in pending:
-            result, wall_seconds = executed[job.key]
+        profiles: dict[str, dict[str, Any]] = {}
+        for job, result, wall_seconds in _execute_pending(pending, stats, echo):
             results[job.key] = result
-            profile = job_profile(job, result, wall_seconds)
-            stats.job_profiles.append(profile)
+            profiles[job.key] = profile = job_profile(job, result, wall_seconds)
+            stats.executed += 1
             if cache is not None:
                 cache.store(job.key, result, job, profile=profile)
                 stats.stored += 1
+        stats.job_profiles.extend(profiles[job.key] for job in pending)
     stats.execute_seconds = time.perf_counter() - started
     return results, stats
 
 
 def _execute_pending(
     pending: list[Job], stats: ExecutionStats, echo: Callable[[str], None]
-) -> dict[str, tuple[Any, float]]:
+) -> Iterator[tuple[Job, Any, float]]:
     """Run the cache misses, in parallel when possible.
 
-    Returns ``{job key: (result, wall seconds)}``.
+    Yields ``(job, result, wall seconds)`` as each job finishes.  If the
+    pool breaks, only the jobs not yet yielded re-run serially.
     """
+    remaining = {job.key: job for job in pending}
     if stats.workers > 1 and len(pending) > 1:
         try:
-            return _execute_parallel(pending, stats, echo)
+            for job, result, wall_seconds in _execute_parallel(pending, stats, echo):
+                del remaining[job.key]
+                yield job, result, wall_seconds
         except (BrokenProcessPool, OSError, PermissionError) as error:
             stats.pool_fallback = True
-            echo(f"campaign: process pool unavailable ({error}); running serially")
-    return {job.key: _execute_one(job, stats) for job in pending}
-
-
-def _execute_one(job: Job, stats: ExecutionStats) -> tuple[Any, float]:
-    started = time.perf_counter()
-    try:
-        result = execute_payload(job.kind, dict(job.payload))
-    except Exception as error:
-        raise JobFailed(job, error) from error
-    wall_seconds = time.perf_counter() - started
-    stats.executed += 1
-    return result, wall_seconds
+            echo(
+                f"campaign: process pool unavailable ({error}); "
+                f"re-running {len(remaining)} of {len(pending)} job(s) serially"
+            )
+    for job in remaining.values():
+        started = time.perf_counter()
+        try:
+            result = execute_payload(job.kind, dict(job.payload))
+        except Exception as error:
+            raise JobFailed(job, error) from error
+        yield job, result, time.perf_counter() - started
 
 
 def _execute_parallel(
     pending: list[Job], stats: ExecutionStats, echo: Callable[[str], None]
-) -> dict[str, tuple[Any, float]]:
-    """Fan the pending jobs out over a spawn pool; keyed merge.
+) -> Iterator[tuple[Job, Any, float]]:
+    """Fan the pending jobs out over a spawn pool, yielding each result
+    as its future completes.
 
     A dead worker surfaces as :class:`BrokenProcessPool` (the caller
-    falls back to serial); a job that raises cancels what has not
-    started and surfaces as :class:`JobFailed`.
+    re-runs what is left serially); a job that raises cancels what has
+    not started and surfaces as :class:`JobFailed`.
     """
-    executed: dict[str, tuple[Any, float]] = {}
     context = get_context("spawn")
     with ProcessPoolExecutor(
         max_workers=min(stats.workers, len(pending)), mp_context=context
     ) as pool:
         futures = {
-            pool.submit(_pool_worker, (job.key, job.kind, dict(job.payload))): job
+            pool.submit(_pool_worker, job.kind, dict(job.payload)): job
             for job in pending
         }
         waiting = set(futures)
@@ -249,16 +270,14 @@ def _execute_parallel(
             for future in done:
                 job = futures[future]
                 try:
-                    key, result, wall_seconds = future.result()
+                    result, wall_seconds = future.result()
                 except BrokenProcessPool:
                     raise
                 except Exception as error:
                     pool.shutdown(wait=False, cancel_futures=True)
                     raise JobFailed(job, error) from error
-                executed[key] = (result, wall_seconds)
-                stats.executed += 1
                 echo(f"campaign: finished {job.label}")
-    return executed
+                yield job, result, wall_seconds
 
 
 def _verify_sample(

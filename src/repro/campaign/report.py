@@ -40,7 +40,7 @@ def render_summary(result: CampaignResult) -> str:
         f"  cache       : {stats.cache_hits} hit(s), {stats.executed} executed, "
         f"{stats.stored} stored ({100 * stats.hit_rate:.0f}% hit rate)",
         f"  workers     : {stats.workers}"
-        + (" (pool unavailable; ran serially)" if stats.pool_fallback else ""),
+        + (" (pool unavailable; unfinished jobs ran serially)" if stats.pool_fallback else ""),
     ]
     if result.options.cache_dir is not None:
         lines.insert(

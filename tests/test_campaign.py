@@ -8,6 +8,8 @@ The acceptance properties from the campaign design:
 * every experiment's ``assemble`` builds its data from the results of
   its own plan and simulates nothing;
 * a job that raises names itself, serial or pooled;
+* a pool that loses a worker re-runs only the jobs that had no result,
+  and a finished job leaves no simulation behind in its process;
 * the baseline gate passes on freshly written records and fails
   (non-zero exit) on any change to a headline or a job fingerprint,
   naming it;
@@ -15,10 +17,14 @@ The acceptance properties from the campaign design:
   ``--update-baselines``, and is harmless without either.
 """
 
+import gc
 import json
 import math
+import multiprocessing
+import os
 import pathlib
 import pickle
+import signal
 from types import SimpleNamespace
 
 import pytest
@@ -32,6 +38,7 @@ from repro.campaign import (
     UnplannableSpec,
     check_baselines,
     execute_jobs,
+    execute_payload,
     job_key,
     job_profile,
     payload_to_spec,
@@ -50,6 +57,7 @@ from repro.cluster.profile import ClusterProfile
 from repro.cluster.runner import RunSpec, run_experiment
 from repro.experiments import EXPERIMENTS, common
 from repro.experiments.tab1_overhead import Tab1Cell
+from repro.sim.loop import EventLoop
 from repro.workload.open_loop import ArrivalSpec
 from repro.workload.schedule import BurstSchedule, ConstantSchedule, StepSchedule
 
@@ -316,6 +324,56 @@ class TestPool:
             execute_jobs([job], workers=1, cache=cache, verify_fraction=1.0)
         assert not cache.contains(job.key)  # stale entry evicted
 
+    def test_execute_payload_frees_the_simulation(self):
+        """No event loop a job built outlives the job, even with the
+        automatic collector off: the cluster's cycles are collected
+        before the result is handed back."""
+        job = sim_job("t", tiny_spec(seed=2))
+        gc.collect()
+        before = {id(obj) for obj in gc.get_objects() if isinstance(obj, EventLoop)}
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = execute_payload(job.kind, dict(job.payload))
+            left = [
+                obj for obj in gc.get_objects()
+                if isinstance(obj, EventLoop) and id(obj) not in before
+            ]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert result.throughput > 0
+        assert left == []
+
+    def test_broken_pool_reruns_only_the_lost_jobs(self, tmp_path):
+        """A worker SIGKILLed after the first job finishes breaks the
+        pool; the finished job's result is kept (and cached), and only
+        the others re-run serially, each exactly once."""
+        jobs = [sim_job("t", tiny_spec(seed=seed)) for seed in range(10, 14)]
+        serial, _ = execute_jobs(jobs, workers=1, cache=None)
+        notes, killed = [], []
+
+        def kill_a_worker(note):
+            notes.append(note)
+            if note.startswith("campaign: finished") and not killed:
+                victim = multiprocessing.active_children()[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                killed.append(victim.pid)
+
+        cache = ResultCache(tmp_path)
+        results, stats = execute_jobs(jobs, workers=2, cache=cache, echo=kill_a_worker)
+        assert killed and stats.pool_fallback
+        assert stats.executed == stats.unique == 4
+        rerun = [note for note in notes if "serially" in note]
+        assert len(rerun) == 1
+        rerun_count = int(rerun[0].split("re-running ")[1].split(" of 4")[0])
+        assert rerun_count < 4
+        for job in jobs:
+            assert cache.contains(job.key)
+            assert result_fingerprint(results[job.key]) == result_fingerprint(
+                serial[job.key]
+            )
+
 
 class TestJobFailure:
     @pytest.mark.parametrize("workers", [1, 2])
@@ -337,7 +395,7 @@ class TestJobFailure:
         assert "unknown system 'nope'" in message
         assert raised.value.job == bad
         assert isinstance(raised.value.__cause__, ValueError)
-        assert not any("running serially" in note for note in notes)
+        assert not any("serially" in note for note in notes)
 
 
 class TestCampaignEndToEnd:
